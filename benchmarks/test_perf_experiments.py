@@ -35,6 +35,8 @@ from repro.experiments.cache import AnalysisArtifactCache
 from repro.metrics.perf import PERF
 from repro.netsim.sim import Delay, Simulator
 
+from tests.oracles import HeapOnlySimulator
+
 ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_experiments.json"
 
 SWEEP_RTTS = (0.050, 0.100)
@@ -133,10 +135,10 @@ def test_perf_experiments(tmp_path):
         return root
 
     sim_modes = {}
-    for mode, fast_path in (("fast", True), ("compat", False)):
+    for mode, simulator_class in (("fast", Simulator), ("compat", HeapOnlySimulator)):
         best_s, events, inline = None, 0, 0
         for _ in range(3):
-            sim = Simulator(fast_path=fast_path)
+            sim = simulator_class()
             with PERF.capture():
                 started = time.perf_counter()
                 sim.run_process(spawn_chains(sim)())

@@ -39,6 +39,8 @@ from repro.proxy.instances import (
     ValueStore,
 )
 
+from tests.oracles import build_naive
+
 ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_learn.json"
 TABLES = Path(__file__).resolve().parent.parent / "bench_tables.txt"
 BUDGETS = Path(__file__).resolve().parent / "perf_budgets.json"
@@ -193,6 +195,7 @@ def _replica_signature() -> RuntimeSignature:
 
 
 def _spawn_and_build(signature, store, use_plan: bool) -> int:
+    """Build every replica through the shared plan, or the naive oracle."""
     built = 0
     for burst in range(BURSTS):
         for index in range(REPLICAS):
@@ -200,7 +203,9 @@ def _spawn_and_build(signature, store, use_plan: bool) -> int:
             instance.fill(
                 FieldPath.parse("body.cid"), "c{}-{}".format(burst, index)
             )
-            request = instance.build(store, use_plan=use_plan)
+            request = (
+                instance.build(store) if use_plan else build_naive(instance, store)
+            )
             if request is not None:
                 built += 1
     return built

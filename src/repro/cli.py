@@ -281,6 +281,17 @@ def _command_scale(args) -> int:
             file=sys.stderr,
         )
         return 2
+    if args.compare_strategies and (
+        args.prom is not None
+        or args.trace is not None
+        or args.trace_sample is not None
+    ):
+        print(
+            "scale: --prom/--trace/--trace-sample cannot be combined with "
+            "--compare-strategies (the comparison writes neither)",
+            file=sys.stderr,
+        )
+        return 2
     slo_config = None
     if args.slo is not None:
         from repro.metrics.slo import load_slo_config
@@ -322,8 +333,6 @@ def _command_scale(args) -> int:
             apps=args.apps,
             rate_per_user=args.rate,
             seed=args.seed,
-            indexed_cache=not args.naive_cache,
-            lazy_drain=not args.rebuild_drain,
             **policy_kwargs,
         )
         print(format_strategy_table(comparison))
@@ -351,14 +360,12 @@ def _command_scale(args) -> int:
                         apps=args.apps,
                         rate_per_user=args.rate,
                         seed=args.seed,
-                        indexed_cache=not args.naive_cache,
-                        lazy_drain=not args.rebuild_drain,
                         trace_path=cell_trace,
                         trace_sample=args.trace_sample,
                         trace_seed=args.trace_seed,
                         strategy=args.strategy,
                         worker_timeout=args.worker_timeout,
-                        prom_path=args.prom_out or args.prom,
+                        prom_path=args.prom,
                         heartbeat_log=(
                             _print_heartbeat
                             if heartbeat_interval is not None
@@ -392,8 +399,6 @@ def _command_scale(args) -> int:
             apps=args.apps,
             rate_per_user=args.rate,
             seed=args.seed,
-            indexed_cache=not args.naive_cache,
-            lazy_drain=not args.rebuild_drain,
             trace_path=args.trace,
             trace_sample=args.trace_sample,
             trace_seed=args.trace_seed,
@@ -548,21 +553,13 @@ def _command_scale(args) -> int:
                         trace_stats["exported"], trace_stats["path"]
                     )
                 )
-    if args.prom or args.prom_out:
+    if args.prom:
         if args.workers == 1:
             from repro.metrics.perf import PERF
 
-            if args.prom:
-                with open(args.prom, "w") as handle:
-                    handle.write(PERF.registry.render_prometheus())
-            if args.prom_out:
-                # atomic: scrapers tailing the file never see a torn dump
-                PERF.registry.dump_prometheus(args.prom_out)
+            PERF.registry.dump_prometheus(args.prom)
         # workers > 1: run_fleet already wrote the folded registry
-        # (atomically) to --prom-out or --prom
-        for path in (args.prom, args.prom_out):
-            if path and (args.workers == 1 or path == (args.prom_out or args.prom)):
-                print("wrote Prometheus metrics to {}".format(path))
+        print("wrote Prometheus metrics to {}".format(args.prom))
     if args.output:
         with open(args.output, "w") as handle:
             json.dump(result, handle, indent=2, sort_keys=True)
@@ -669,9 +666,7 @@ def _command_stats(args) -> int:
                 )
             )
     if args.prom:
-        registry = registry_from_records(records)
-        with open(args.prom, "w") as handle:
-            handle.write(registry.render_prometheus())
+        registry_from_records(records).dump_prometheus(args.prom)
         print("wrote Prometheus metrics to {}".format(args.prom))
     if args.json:
         with open(args.json, "w") as handle:
@@ -954,14 +949,6 @@ def build_parser() -> argparse.ArgumentParser:
              "of using the configured defaults",
     )
     scale.add_argument(
-        "--naive-cache", action="store_true",
-        help="use the unindexed full-scan cache (differential oracle)",
-    )
-    scale.add_argument(
-        "--rebuild-drain", action="store_true",
-        help="use the O(W) rebuild prefetch drain (differential oracle)",
-    )
-    scale.add_argument(
         "--output", default=None,
         help="also write the sweep rows to this JSON file",
     )
@@ -980,12 +967,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scale.add_argument(
         "--prom", default=None, metavar="FILE",
-        help="write a Prometheus text-format metrics dump after the sweep",
-    )
-    scale.add_argument(
-        "--prom-out", default=None, metavar="FILE",
-        help="like --prom but atomic (tmp file + rename): scrapers never "
-             "observe a torn dump",
+        help="write a Prometheus text-format metrics dump after the sweep "
+             "(atomic: tmp file + rename, scrapers never see a torn dump)",
     )
     scale.add_argument(
         "--warm-start", action="store_true",
@@ -1067,7 +1050,8 @@ def build_parser() -> argparse.ArgumentParser:
     stats.add_argument("trace", help="trace file written by 'scale --trace'")
     stats.add_argument(
         "--prom", default=None, metavar="FILE",
-        help="also write Prometheus text-format metrics rebuilt from the trace",
+        help="also write Prometheus text-format metrics rebuilt from the "
+             "trace (atomic: tmp file + rename)",
     )
     stats.add_argument(
         "--json", default=None, metavar="FILE",

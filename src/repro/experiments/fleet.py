@@ -13,7 +13,8 @@ disjoint slice of the user population.  This module is that fleet:
 
 * **One global arrival schedule, partitioned per shard** — the
   supervisor pre-draws the full open-loop Poisson process with the run
-  seed (:func:`~repro.experiments.scale.build_arrival_schedule`), then
+  seed (:meth:`~repro.experiments.scale._ScaleDeployment.arrival_schedule`,
+  the same draw the serial harness makes), then
   splits it by owning shard while accumulating inter-arrival deltas
   (:func:`partition_schedule`).  Every worker replays exactly the
   arrival instants the single-process harness would have produced:
@@ -62,7 +63,6 @@ from repro.experiments.scale import (
     DEFAULT_RATE_PER_USER,
     ArrivalSchedule,
     _ScaleDeployment,
-    build_arrival_schedule,
     miss_causes_from_counters,
     run_scale,
     stage_latency_from_registry,
@@ -478,8 +478,6 @@ def run_fleet(
     seed: int = 0,
     max_entries_per_user: Optional[int] = None,
     max_bytes: Optional[int] = None,
-    indexed_cache: bool = True,
-    lazy_drain: bool = True,
     access_rtt: float = 0.055,
     trace_path: Optional[str] = None,
     trace_sample: Optional[float] = None,
@@ -556,8 +554,6 @@ def run_fleet(
     deploy_kwargs = {
         "max_entries_per_user": max_entries_per_user,
         "max_bytes": max_bytes,
-        "indexed_cache": indexed_cache,
-        "lazy_drain": lazy_drain,
         "max_entries_total": max_entries_total,
         "adaptive_budget": adaptive_budget,
         "admission_threshold": admission_threshold,
@@ -578,17 +574,9 @@ def run_fleet(
     # the plan deployment provides per-app step counts for the schedule
     # draw; with one worker it also serves the workload inline
     plan = _ScaleDeployment(apps, **deploy_kwargs)
-    step_counts = {name: len(steps) for name, steps in plan.steps.items()}
     user_app = [apps[index % len(apps)] for index in range(users)]
-    schedule = build_arrival_schedule(
-        users,
-        duration,
-        rate_per_user,
-        seed,
-        step_counts,
-        user_app,
-        warm_start=warm_start,
-        pred_positions=plan.pred_positions,
+    schedule = plan.arrival_schedule(
+        user_app, duration, rate_per_user, seed, warm_start=warm_start
     )
     assignment = shard_users(users, workers, replicas)
     members = _shard_members(assignment, workers)
@@ -1003,8 +991,6 @@ def _aggregate(
         "cache_lru_evictions": total("cache_lru_evictions"),
         "cache_wheel_purged": total("cache_wheel_purged"),
         "peak_rss_bytes": total("peak_rss_bytes"),
-        "indexed_cache": deploy_kwargs["indexed_cache"],
-        "lazy_drain": deploy_kwargs["lazy_drain"],
         "max_entries_per_user": deploy_kwargs["max_entries_per_user"],
         "max_bytes": deploy_kwargs["max_bytes"],
         "max_entries_total": deploy_kwargs["max_entries_total"],

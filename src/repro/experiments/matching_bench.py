@@ -16,7 +16,7 @@ bench`` writes to ``BENCH_matching.json``.
 from __future__ import annotations
 
 import random
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.analysis import analyze_apk
 from repro.analysis.model import AltAtom, ConstAtom
@@ -126,20 +126,15 @@ def synthesize_workload(
 
 
 def _run_pass(
-    matcher: SignatureMatcher, requests: List[Request], indexed: bool
+    match: Callable[[Request], Optional[RuntimeSignature]], requests: List[Request]
 ) -> Tuple[List[Optional[str]], Dict[str, int], float]:
-
+    """Dispatch every request through ``match`` (one matcher path)."""
     outcomes: List[Optional[str]] = []
     with PERF.capture():
         with PERF.stage("pass"):
-            if indexed:
-                for request in requests:
-                    found = matcher.match(request)
-                    outcomes.append(found.site if found else None)
-            else:
-                for request in requests:
-                    found = matcher.naive_match(request)
-                    outcomes.append(found.site if found else None)
+            for request in requests:
+                found = match(request)
+                outcomes.append(found.site if found else None)
         snapshot = PERF.snapshot()
     return outcomes, snapshot["counters"], snapshot["timings_s"]["pass"]
 
@@ -159,10 +154,10 @@ def run_matching_bench(
 
     matcher = SignatureMatcher(combined)
     naive_outcomes, naive_counters, naive_wall = _run_pass(
-        matcher, requests, indexed=False
+        matcher.naive_match, requests
     )
     indexed_outcomes, indexed_counters, indexed_wall = _run_pass(
-        matcher, requests, indexed=True
+        matcher.match, requests
     )
     mismatches = sum(
         1 for a, b in zip(indexed_outcomes, naive_outcomes) if a != b

@@ -213,8 +213,6 @@ class _ScaleDeployment:
         catalog_seed: int = 7,
         max_entries_per_user: Optional[int] = None,
         max_bytes: Optional[int] = None,
-        indexed_cache: bool = True,
-        lazy_drain: bool = True,
         max_entries_total: Optional[int] = None,
         adaptive_budget: bool = False,
         admission_threshold: Optional[float] = None,
@@ -255,7 +253,6 @@ class _ScaleDeployment:
                 )
             analysis = analyze_apk(spec.build_apk(), AnalysisOptions(run_slicing=False))
             cache = PrefetchCache(
-                indexed=indexed_cache,
                 max_entries_per_user=max_entries_per_user,
                 max_bytes=max_bytes,
                 max_entries_total=max_entries_total,
@@ -264,7 +261,6 @@ class _ScaleDeployment:
             proxy = AccelerationProxy(
                 self.sim, app_origins, analysis, cache=cache, learn_mode=learn_mode
             )
-            proxy.prefetcher.lazy_drain = lazy_drain
             if admission_threshold is not None:
                 proxy.config.admission_threshold = admission_threshold
             # deferred-learn knobs: a forced-small queue capacity is the
@@ -298,6 +294,27 @@ class _ScaleDeployment:
                 i for i, step in enumerate(steps) if step.site in pred_sites
             ]
 
+    def arrival_schedule(
+        self,
+        user_app: Sequence[str],
+        duration: float,
+        rate_per_user: float,
+        seed: int,
+        warm_start: bool = False,
+    ) -> "ArrivalSchedule":
+        """Pre-draw the seeded arrival schedule for ``user_app`` users
+        (``user_app[i]`` is user ``i``'s app) against these sessions."""
+        return build_arrival_schedule(
+            len(user_app),
+            duration,
+            rate_per_user,
+            seed,
+            {name: len(steps) for name, steps in self.steps.items()},
+            user_app,
+            warm_start=warm_start,
+            pred_positions=self.pred_positions,
+        )
+
 
 def _origin_uri(origin: str):
     from repro.httpmsg.uri import Uri
@@ -314,8 +331,9 @@ class ArrivalSchedule:
     position its replay starts from (``None`` afterwards).
     ``terminal_dt`` is the final inter-arrival draw, the one whose
     arrival instant crossed ``duration`` and terminated the process;
-    replaying it keeps the arrivals generator alive to the same instant
-    the live path's would be, so the simulated event count matches.
+    replaying it keeps the arrivals generator alive until the first
+    draw past ``duration``, so every partition of one schedule ends its
+    arrivals process at the same instant.
 
     The sharded fleet supervisor draws ONE global schedule with the run
     seed, then partitions it per shard: every worker replays exactly
@@ -355,16 +373,16 @@ def build_arrival_schedule(
     warm_start: bool = False,
     pred_positions: Optional[Dict[str, List[int]]] = None,
 ) -> ArrivalSchedule:
-    """Pre-draw the Poisson arrival schedule :func:`run_scale` would draw live.
+    """Pre-draw the seeded Poisson arrival schedule :func:`run_scale` serves.
 
-    The PRNG call sequence here — ``expovariate`` per arrival,
-    ``randrange(users)`` per admitted arrival, ``randrange(steps)`` on
-    a user's first arrival — mirrors the live ``arrivals()`` generator
-    draw for draw, and arrival instants accumulate with the same
-    left-fold float additions the simulator clock performs.  A seeded
-    replay of the full schedule is therefore byte-equivalent to the
-    live path, which is what lets ``--workers 1`` serve as a
-    differential oracle for the fleet.
+    The PRNG call sequence is ``expovariate`` per arrival,
+    ``randrange(users)`` per admitted arrival, and ``randrange(steps)``
+    on a user's first arrival; arrival instants accumulate with the
+    same left-fold float additions the simulator clock performs, so
+    replaying the schedule lands every arrival on exactly its drawn
+    instant.  :func:`run_scale` and the fleet supervisor both draw
+    through :meth:`_ScaleDeployment.arrival_schedule`, which is what
+    lets ``--workers 1`` serve as a differential oracle for the fleet.
     """
     import random
 
@@ -434,8 +452,6 @@ def run_scale(
     seed: int = 0,
     max_entries_per_user: Optional[int] = None,
     max_bytes: Optional[int] = None,
-    indexed_cache: bool = True,
-    lazy_drain: bool = True,
     access_rtt: float = 0.055,
     trace_path: Optional[str] = None,
     trace_sample: Optional[float] = None,
@@ -480,9 +496,10 @@ def run_scale(
     buffered records as JSONL after the run.  Left off (the default),
     the serving core pays only the one-branch disabled check.
 
-    ``arrival_schedule`` replays a pre-drawn
-    :class:`ArrivalSchedule` (typically one fleet shard's partition)
-    instead of drawing arrivals live; ``_deployment`` reuses an
+    Arrivals are pre-drawn with ``seed`` through
+    :meth:`_ScaleDeployment.arrival_schedule` unless
+    ``arrival_schedule`` supplies a pre-drawn :class:`ArrivalSchedule`
+    (typically one fleet shard's partition); ``_deployment`` reuses an
     already-built :class:`_ScaleDeployment` (it must have been built
     with the same app/cache/strategy arguments); and
     ``collect_latencies`` attaches the raw per-request virtual
@@ -503,8 +520,6 @@ def run_scale(
     (``None`` when the plane is off, which is the default: the only
     hot-path cost of the disabled plane is one ``is None`` branch).
     """
-    import random
-
     if users < 1:
         raise ValueError("users must be >= 1")
     tracing = trace_path is not None or trace_sample is not None
@@ -527,8 +542,6 @@ def run_scale(
             apps,
             max_entries_per_user=max_entries_per_user,
             max_bytes=max_bytes,
-            indexed_cache=indexed_cache,
-            lazy_drain=lazy_drain,
             max_entries_total=max_entries_total,
             adaptive_budget=adaptive_budget,
             admission_threshold=admission_threshold,
@@ -539,7 +552,6 @@ def run_scale(
         )
     sim = deployment.sim
     multi = deployment.multi
-    rng = random.Random(seed)
 
     estimators: List[ExpirationEstimator] = []
     if estimate_expiration and strategy == "appx":
@@ -566,6 +578,10 @@ def run_scale(
     # default because it breaks exactly that stationarity: every first
     # arrival becomes a fan-out-triggering predecessor, and short
     # large-N cells degenerate into pure prefetch storms.
+    if arrival_schedule is None:
+        arrival_schedule = deployment.arrival_schedule(
+            user_app, duration, rate_per_user, seed, warm_start=warm_start
+        )
     sessions: Dict[int, _UserSession] = {}
     transports: Dict[int, MultiAppTransport] = {}
     latencies: List[float] = []
@@ -668,28 +684,10 @@ def run_scale(
         state["sent"] += 1
         sim.spawn(send_one(user_index, step))
 
-    def arrivals() -> Generator:
-        total_rate = users * rate_per_user
-        while True:
-            yield Delay(rng.expovariate(total_rate))
-            if sim.now >= duration:
-                return None
-            user_index = rng.randrange(users)
-            position: Optional[int] = None
-            if user_index not in sessions:
-                app = user_app[user_index]
-                position = rng.randrange(len(deployment.steps[app]))
-                if warm_start:
-                    anchors = deployment.pred_positions[app]
-                    if anchors:
-                        eligible = [p for p in anchors if p <= position]
-                        position = eligible[-1] if eligible else anchors[0]
-            arrive(user_index, position)
-
-    def scheduled_arrivals() -> Generator:
-        # replay one shard's partition of a pre-drawn global schedule;
-        # the terminal delay keeps this generator alive to the instant
-        # the live path's final (duration-crossing) draw would wake it
+    def arrival_process() -> Generator:
+        # replay the pre-drawn schedule (or one shard's partition of
+        # it); the terminal delay keeps this generator alive to the
+        # schedule's final (duration-crossing) draw
         for dt, user_index, first_position in arrival_schedule.events:
             yield Delay(dt)
             arrive(user_index, first_position)
@@ -720,9 +718,7 @@ def run_scale(
             live.tick(sim.now)
         return None
 
-    sim.spawn(
-        arrivals() if arrival_schedule is None else scheduled_arrivals()
-    )
+    sim.spawn(arrival_process())
     sim.spawn(sweeper())
     sim.spawn(sampler())
     if live is not None:
@@ -838,8 +834,6 @@ def run_scale(
         "cache_lru_evictions": sum(c.lru_evictions for c in caches),
         "cache_wheel_purged": sum(c.wheel_purged for c in caches),
         "peak_rss_bytes": rss_peak_bytes(),
-        "indexed_cache": indexed_cache,
-        "lazy_drain": lazy_drain,
         "max_entries_per_user": max_entries_per_user,
         "max_bytes": max_bytes,
         "max_entries_total": max_entries_total,

@@ -30,10 +30,9 @@ round-trip — and when the child finishes without blocking, its
 completion value is already latched by the time the parent registers
 as a waiter.
 
-``Simulator(fast_path=False)`` disables both optimizations and runs
-the original heap-only loop — kept as the differential oracle
-(``tests/test_sim_fast_path.py`` replays full workloads in both modes
-and asserts identical outcomes).
+The original heap-only loop lives on as the differential oracle
+``tests/oracles/sim.py``; the scheduler tests replay full workloads
+through both and assert identical outcomes.
 """
 
 from __future__ import annotations
@@ -171,24 +170,16 @@ class Timeout(Event):
 class Simulator:
     """Deterministic discrete-event loop with a virtual clock.
 
-    ``fast_path=False`` reverts to the heap-only scheduler (the
-    differential oracle); the default fast path is observationally
-    identical — same callback order, same virtual timestamps.
+    The ready-ring fast path is observationally identical to a
+    heap-only scheduler — same callback order, same virtual timestamps.
     """
 
-    #: process-wide default for ``Simulator()`` — tests flip this to
-    #: run whole experiment pipelines under the compat scheduler
-    default_fast_path = True
-
-    def __init__(self, fast_path: Optional[bool] = None) -> None:
+    def __init__(self) -> None:
         self._now = 0.0
         self._sequence = 0
         self._queue: List[Tuple[float, int, Callable, tuple]] = []
         #: zero-delay FIFO ring; entries are (time, seq, callback, args)
         self._ready: "deque[Tuple[float, int, Callable, tuple]]" = deque()
-        self.fast_path = (
-            Simulator.default_fast_path if fast_path is None else fast_path
-        )
         self._inline_depth = 0
 
     @property
@@ -199,7 +190,7 @@ class Simulator:
         if delay < 0:
             raise ValueError("cannot schedule in the past")
         self._sequence += 1
-        if delay == 0.0 and self.fast_path:
+        if delay == 0.0:
             self._ready.append((self._now, self._sequence, callback, args))
         else:
             heapq.heappush(
@@ -223,7 +214,7 @@ class Simulator:
         queue round-trip.  Nested ``spawn`` chains inline recursively
         up to ``_MAX_INLINE_DEPTH``.
         """
-        if not self.fast_path or self._inline_depth >= _MAX_INLINE_DEPTH:
+        if self._inline_depth >= _MAX_INLINE_DEPTH:
             return
         ready = self._ready
         if not ready:

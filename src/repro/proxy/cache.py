@@ -9,17 +9,17 @@ per-signature hit statistics feed the prefetch priority (§5).
 
 Serving-scale layout
 --------------------
-The default (``indexed=True``) store is *sharded by user*: one inner
-dict per user keyed by ``exact_key``, so lookup, insert, and
-``entries_for_user`` touch only that user's shard, and a hierarchical
+The store is *sharded by user*: one inner dict per user keyed by
+``exact_key``, so lookup, insert, and ``entries_for_user`` touch only
+that user's shard, and a hierarchical
 :class:`~repro.proxy.timerwheel.TimerWheel` files every entry by
 expiry tick so ``purge_expired(now)`` visits only buckets the clock
 passed — per-request cost stays flat as the user population grows.
 Optional bounds (``max_entries_per_user``, byte-accounted
 ``max_bytes``) evict least-recently-used entries when a deployment
-must cap memory.  ``PrefetchCache(indexed=False)`` retains the seed's
-flat dict with full-scan purge/lookup as the differential oracle:
-both modes must agree on every observable result
+must cap memory.  The seed's flat table with full-scan purge/lookup
+lives on as the differential oracle ``tests/oracles/cache.py``: both
+must agree on every observable result
 (``tests/test_proxy_cache_scale.py``).
 
 Adaptive per-user budgets
@@ -33,9 +33,9 @@ budget splits equally across active shards, half follows the hit
 mass, with a small floor so new users can bootstrap.  Users whose
 prefetched entries get consumed keep larger shards; users that only
 ever fill and evict stop stealing space from them.  Entries evicted
-or expired *before their first hit* are counted as ``wasted``
-(per-site in ``wasted_by_site``) — the signal the prefetcher's
-admission gate and offline audits run on.
+expired, or overwritten *before their first hit* are counted as
+``wasted`` (per-site in ``wasted_by_site``) — the signal offline
+audits and the live telemetry windows run on.
 """
 
 from __future__ import annotations
@@ -70,12 +70,9 @@ class CacheEntry:
 class PrefetchCache:
     """Per-user exact-match response cache with expiry.
 
-    ``indexed=False`` selects the seed's flat-table implementation
-    (linear purge and per-user scans), kept as the oracle the sharded
-    path is differentially tested against.  ``max_entries_per_user``
-    and ``max_bytes`` (both indexed-only) bound the store with LRU
-    eviction; unbounded is the default and preserves the oracle's
-    insertion-order observables exactly.
+    ``max_entries_per_user`` and ``max_bytes`` bound the store with LRU
+    eviction; unbounded is the default and preserves the flat-table
+    oracle's insertion-order observables exactly.
 
     ``max_entries_total`` bounds the whole store; with
     ``adaptive=True`` that global budget is additionally apportioned
@@ -85,7 +82,6 @@ class PrefetchCache:
 
     def __init__(
         self,
-        indexed: bool = True,
         max_entries_per_user: Optional[int] = None,
         max_bytes: Optional[int] = None,
         wheel_tick: float = 0.5,
@@ -94,11 +90,8 @@ class PrefetchCache:
         min_entries_per_user: int = 4,
         hit_mass_window: float = 30.0,
     ) -> None:
-        if not indexed and (max_entries_per_user or max_bytes or max_entries_total):
-            raise ValueError("LRU bounds require the indexed cache")
         if adaptive and not max_entries_total:
             raise ValueError("adaptive budgets require max_entries_total")
-        self.indexed = indexed
         self.max_entries_per_user = max_entries_per_user
         self.max_bytes = max_bytes
         self.max_entries_total = max_entries_total
@@ -106,17 +99,13 @@ class PrefetchCache:
         self.min_entries_per_user = min_entries_per_user
         self.hit_mass_window = hit_mass_window
         self._bounded = bool(max_entries_per_user or max_bytes or max_entries_total)
-        #: naive mode: one flat (user, exact_key) table
-        self._entries: Dict[Tuple[str, str], CacheEntry] = {}
-        #: indexed mode: user -> {exact_key -> entry}; dict insertion
-        #: order doubles as per-user LRU order (touched on bounded gets)
+        #: user -> {exact_key -> entry}; dict insertion order doubles
+        #: as per-user LRU order (touched on bounded gets)
         self._shards: Dict[str, Dict[str, CacheEntry]] = {}
-        self._wheel: Optional[TimerWheel] = (
-            TimerWheel(tick=wheel_tick) if indexed else None
-        )
+        self._wheel = TimerWheel(tick=wheel_tick)
         #: global LRU order across users, maintained only when bounded
         self._lru: Dict[Tuple[str, str], None] = {}
-        self._count = 0  # live entries across all shards (indexed mode)
+        self._count = 0  # live entries across all shards
         self.total_bytes = 0
         self.hits: Dict[str, int] = {}
         self.misses: Dict[str, int] = {}
@@ -124,8 +113,9 @@ class PrefetchCache:
         self.lru_evictions = 0
         self.wheel_purged = 0
         self.stored = 0
-        #: entries that left the cache (evicted or expired) having
-        #: never served a hit — the prefetch-waste signal
+        #: entries that left the cache (evicted, expired, or
+        #: overwritten) having never served a hit — the prefetch-waste
+        #: signal
         self.wasted = 0
         self.wasted_by_site: Dict[str, int] = {}
         #: rotating per-user hit-count windows (adaptive budgets): two
@@ -156,25 +146,24 @@ class PrefetchCache:
     ) -> None:
         entry = CacheEntry(response, site, now, now + ttl)
         exact = request.exact_key()
-        if self.indexed:
-            shard = self._shards.get(user)
-            if shard is None:
-                shard = self._shards[user] = {}
-            previous = shard.get(exact)
-            shard[exact] = entry
-            if previous is None:
-                self._count += 1
-            self._wheel.schedule(entry.expires_at, (user, exact, entry))
-            if self._bounded:
-                entry.size_bytes = response.wire_size()
-                self.total_bytes += entry.size_bytes
-                if previous is not None:
-                    self.total_bytes -= previous.size_bytes
-                self._lru.pop((user, exact), None)
-                self._lru[(user, exact)] = None
-                self._enforce_bounds(user)
+        shard = self._shards.get(user)
+        if shard is None:
+            shard = self._shards[user] = {}
+        previous = shard.get(exact)
+        shard[exact] = entry
+        if previous is None:
+            self._count += 1
         else:
-            self._entries[(user, exact)] = entry
+            self._note_wasted(previous)
+        self._wheel.schedule(entry.expires_at, (user, exact, entry))
+        if self._bounded:
+            entry.size_bytes = response.wire_size()
+            self.total_bytes += entry.size_bytes
+            if previous is not None:
+                self.total_bytes -= previous.size_bytes
+            self._lru.pop((user, exact), None)
+            self._lru[(user, exact)] = None
+            self._enforce_bounds(user)
         self.stored += 1
         if PERF.enabled:
             PERF.incr("cache.stores")
@@ -275,32 +264,25 @@ class PrefetchCache:
             PERF.incr("cache.lru_evictions")
 
     def _remove(self, user: str, exact: str) -> None:
-        """Drop one entry (expiry path) from whichever store is live."""
-        if self.indexed:
-            shard = self._shards.get(user)
-            if shard is None:
-                return
-            entry = shard.pop(exact, None)
-            if entry is None:
-                return
-            self._count -= 1
-            if not shard:
-                del self._shards[user]
-            if self._bounded:
-                self.total_bytes -= entry.size_bytes
-                self._lru.pop((user, exact), None)
-            self._note_wasted(entry)
-        else:
-            entry = self._entries.pop((user, exact), None)
-            if entry is not None:
-                self._note_wasted(entry)
+        """Drop one entry (expiry path)."""
+        shard = self._shards.get(user)
+        if shard is None:
+            return
+        entry = shard.pop(exact, None)
+        if entry is None:
+            return
+        self._count -= 1
+        if not shard:
+            del self._shards[user]
+        if self._bounded:
+            self.total_bytes -= entry.size_bytes
+            self._lru.pop((user, exact), None)
+        self._note_wasted(entry)
 
     # ------------------------------------------------------------------
     def _lookup(self, user: str, exact: str) -> Optional[CacheEntry]:
-        if self.indexed:
-            shard = self._shards.get(user)
-            return None if shard is None else shard.get(exact)
-        return self._entries.get((user, exact))
+        shard = self._shards.get(user)
+        return None if shard is None else shard.get(exact)
 
     def lookup(
         self, user: str, request: Request, now: float
@@ -368,18 +350,11 @@ class PrefetchCache:
     def purge_expired(self, now: float) -> int:
         """Evict every expired entry; returns how many went.
 
-        Indexed: the timer wheel surfaces only buckets the clock
-        passed; each candidate is revalidated against its shard (it
-        may have been overwritten or evicted since scheduling), so
-        cost tracks expirations, not population.  Naive: the seed's
-        full-table scan.
+        The timer wheel surfaces only buckets the clock passed; each
+        candidate is revalidated against its shard (it may have been
+        overwritten or evicted since scheduling), so cost tracks
+        expirations, not population.
         """
-        if not self.indexed:
-            stale = [key for key, entry in self._entries.items() if entry.expired(now)]
-            for key in stale:
-                self._note_wasted(self._entries.pop(key))
-            self.expired_evictions += len(stale)
-            return len(stale)
         purged = 0
         for user, exact, entry in self._wheel.advance(now):
             live = self._lookup(user, exact)
@@ -395,18 +370,12 @@ class PrefetchCache:
 
     def entries_for_user(self, user: str) -> List[CacheEntry]:
         """This user's entries, oldest-stored first (deterministic)."""
-        if self.indexed:
-            shard = self._shards.get(user)
-            return [] if shard is None else list(shard.values())
-        return [entry for (u, _), entry in self._entries.items() if u == user]
+        shard = self._shards.get(user)
+        return [] if shard is None else list(shard.values())
 
     @property
     def user_count(self) -> int:
-        if self.indexed:
-            return len(self._shards)
-        return len({user for user, _ in self._entries})
+        return len(self._shards)
 
     def __len__(self) -> int:
-        if self.indexed:
-            return self._count
-        return len(self._entries)
+        return self._count

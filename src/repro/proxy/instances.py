@@ -735,11 +735,6 @@ class RequestInstance:
                 return None
         return "".join(parts)
 
-    def resolve_uri(self, store: ValueStore) -> Optional[str]:
-        return self.resolve_field(
-            FieldPath("uri"), self.signature.signature.request.uri, store
-        )
-
     def choose_variant(
         self,
         store: ValueStore,
@@ -779,21 +774,18 @@ class RequestInstance:
         self,
         store: ValueStore,
         preferred_variant: Optional[frozenset] = None,
-        use_plan: bool = True,
     ) -> Optional[Request]:
         """Assemble the concrete request, or None while values missing.
 
-        ``use_plan=True`` (the default) resolves through the shared
-        :class:`SignatureBuildPlan` with per-instance memos — constant
-        fields are never re-walked, dep-bound fields resolve once per
-        instance, and store-backed fields re-resolve only after
-        ``store.version`` moves.  ``use_plan=False`` retains the seed's
-        resolve-everything-per-attempt path as the differential oracle
-        (``tests/test_learning_deferred.py`` asserts both produce
+        Resolves through the shared :class:`SignatureBuildPlan` with
+        per-instance memos — constant fields are never re-walked,
+        dep-bound fields resolve once per instance, and store-backed
+        fields re-resolve only after ``store.version`` moves.  The
+        seed's resolve-everything-per-attempt build lives on as the
+        differential oracle ``tests/oracles/instances.py``
+        (``tests/test_proxy_instances.py`` asserts both produce
         byte-identical requests).
         """
-        if not use_plan:
-            return self._build_naive(store, preferred_variant)
         plan = self.signature.build_plan
         if self._memo_version != store.version:
             self._memo = {}
@@ -868,48 +860,6 @@ class RequestInstance:
         value = self.resolve_field(path, template, store, path_string)
         self._memo[path_string] = value
         return value
-
-    def _build_naive(
-        self, store: ValueStore, preferred_variant: Optional[frozenset] = None
-    ) -> Optional[Request]:
-        """The seed's build: re-resolve every field each attempt."""
-        uri_string = self.resolve_uri(store)
-        if uri_string is None:
-            return None
-        try:
-            uri = Uri.parse(uri_string)
-        except ValueError:
-            return None
-        resolved = self._resolve_all(store)
-        variant = self.choose_variant(store, preferred_variant, resolved)
-        if variant is None:
-            return None
-        request = Request(
-            method=self.signature.signature.request.method,
-            uri=uri,
-            headers=Headers(),
-        )
-        body_kind = self.signature.signature.request.body_kind
-        if body_kind == "form":
-            request.body = _new_form()
-        elif body_kind == "json":
-            request.body = _new_json()
-        for path, path_string, _template in self.signature.field_rows:
-            if path_string not in variant:
-                continue
-            value = resolved.get(path_string)
-            if value is None:
-                return None
-            if path.root == "header":
-                request.headers.add(str(path.parts[0]), value)
-            elif path.root == "query":
-                request.uri.query.append((str(path.parts[0]), value))
-            elif path.root == "body":
-                if body_kind == "form":
-                    request.body.add(str(path.parts[0]), value)
-                else:
-                    path.assign(request, value)
-        return request
 
     def try_build(
         self, store: ValueStore, preferred_variant: Optional[frozenset] = None

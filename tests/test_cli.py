@@ -147,12 +147,53 @@ def test_scale_slo_flag_validation(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_scale_prom_out_atomic_dump(tmp_path, capsys):
+def test_scale_prom_atomic_dump(tmp_path, capsys):
     prom_path = tmp_path / "metrics.prom"
     code, out = run_cli(
         capsys, "scale", "--users", "20", "--duration", "2",
-        "--max-entries-per-user", "16", "--prom-out", str(prom_path),
+        "--max-entries-per-user", "16", "--prom", str(prom_path),
     )
     assert code == 0
     assert "wrote Prometheus metrics to {}".format(prom_path) in out
     assert "# TYPE" in prom_path.read_text()
+    # atomic write: the temp file was renamed into place, not left over
+    assert [p.name for p in tmp_path.iterdir()] == ["metrics.prom"]
+
+
+def test_scale_fleet_prom_dump(tmp_path, capsys):
+    prom_path = tmp_path / "fleet.prom"
+    code, out = run_cli(
+        capsys, "scale", "--users", "6", "--duration", "1", "--apps", "wish",
+        "--workers", "2", "--prom", str(prom_path),
+    )
+    assert code == 0
+    assert "wrote Prometheus metrics to {}".format(prom_path) in out
+    assert "# TYPE" in prom_path.read_text()
+    assert [p.name for p in tmp_path.iterdir()] == ["fleet.prom"]
+
+
+def test_stats_prom_atomic_dump(tmp_path, capsys):
+    trace_path = tmp_path / "trace.jsonl"
+    code, _ = run_cli(
+        capsys, "scale", "--users", "4", "--duration", "1", "--apps", "wish",
+        "--trace", str(trace_path),
+    )
+    assert code == 0
+    prom_path = tmp_path / "stats.prom"
+    code, out = run_cli(capsys, "stats", str(trace_path), "--prom", str(prom_path))
+    assert code == 0
+    assert "wrote Prometheus metrics to {}".format(prom_path) in out
+    assert "# TYPE" in prom_path.read_text()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["stats.prom", "trace.jsonl"]
+
+
+def test_scale_compare_strategies_rejects_ignored_outputs(tmp_path, capsys):
+    base = ["scale", "--users", "4", "--duration", "1", "--compare-strategies"]
+    for extra in (
+        ["--prom", str(tmp_path / "m.prom")],
+        ["--trace", str(tmp_path / "t.jsonl")],
+        ["--trace-sample", "0.5"],
+    ):
+        code, _ = run_cli(capsys, *base, *extra)
+        assert code == 2, extra
+    assert list(tmp_path.iterdir()) == []

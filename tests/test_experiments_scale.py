@@ -44,6 +44,33 @@ def test_run_scale_is_deterministic_in_virtual_metrics():
         "cache_stored",
     ):
         assert first[key] == second[key], key
+    # pinned from the live-drawn arrival generator this harness used
+    # before every run pre-drew its schedule: the pre-drawn path must
+    # reproduce it exactly, cold and warm-started
+    warm = run_scale(users=8, duration=3.0, seed=11, warm_start=True)
+    pinned = {
+        "cold": (first, {
+            "requests_sent": 14,
+            "requests": 14,
+            "latency_p50_ms": 254.64095999999986,
+            "latency_p99_ms": 573.3404672000004,
+            "hit_rate": 0.0,
+            "prefetch_issued": 202,
+            "cache_stored": 202,
+        }),
+        "warm": (warm, {
+            "requests_sent": 14,
+            "requests": 14,
+            "latency_p50_ms": 336.46654795282535,
+            "latency_p99_ms": 573.3404672000005,
+            "hit_rate": 0.2857142857142857,
+            "prefetch_issued": 1619,
+            "cache_stored": 1619,
+        }),
+    }
+    for cell, (row, expected) in pinned.items():
+        for key, value in expected.items():
+            assert row[key] == value, (cell, key)
 
 
 def test_run_scale_per_user_bound_caps_cache():

@@ -19,6 +19,8 @@ from repro.proxy.history import HistoryPrefetcher
 from repro.proxy.prefetcher import Prefetcher
 from repro.server.origin import OriginServer
 
+from tests.oracles import FlatPrefetchCache
+
 SITE = "Feed.load#1"
 
 
@@ -122,9 +124,43 @@ def test_expired_unserved_entry_counts_as_wasted():
     assert cache.wasted == 1
 
 
+CACHE_FACTORIES = {
+    "sharded": PrefetchCache,
+    "bounded": lambda: PrefetchCache(max_entries_per_user=4),
+    "flat": FlatPrefetchCache,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CACHE_FACTORIES))
+def test_overwritten_unserved_entry_counts_as_wasted(kind):
+    # the prefetcher re-fetches once contains_fresh turns false, while
+    # the expired entry may still be waiting for its purge: the put
+    # replaces it, and it must not drop out of the waste count
+    cache = CACHE_FACTORIES[kind]()
+    a = make_request("/a")
+    cache.put("u0", a, make_response({"k": 1}), SITE, now=0.0, ttl=1.0)
+    cache.put("u0", a, make_response({"k": 2}), SITE, now=2.0, ttl=1.0)
+    cache.purge_expired(10.0)
+    assert cache.stored == 2
+    assert cache.wasted == 2
+    assert cache.wasted_by_site[SITE] == 2
+
+
+@pytest.mark.parametrize("kind", sorted(CACHE_FACTORIES))
+def test_overwritten_served_entry_is_not_wasted(kind):
+    cache = CACHE_FACTORIES[kind]()
+    a = make_request("/a")
+    cache.put("u0", a, make_response({"k": 1}), SITE, now=0.0, ttl=60.0)
+    cache.get("u0", a, 0.5).served = True
+    cache.put("u0", a, make_response({"k": 2}), SITE, now=1.0, ttl=60.0)
+    assert cache.wasted == 0
+    cache.purge_expired(100.0)
+    assert cache.wasted == 1
+
+
 def test_naive_cache_counts_wasted_identically():
     indexed = PrefetchCache()
-    naive = PrefetchCache(indexed=False)
+    naive = FlatPrefetchCache()
     for cache in (indexed, naive):
         cache.put(
             "u0", make_request("/a"), make_response({"k": 1}), SITE,

@@ -23,24 +23,21 @@ from repro.proxy.config import ProxyConfig
 from repro.proxy.learning import DynamicLearner
 from repro.proxy.prefetcher import Prefetcher
 
+from tests.oracles import RebuildDrainPrefetcher
 from tests.test_proxy_prefetcher import ORIGIN, SlowEndpoint, ready_for
 
 
 def make_prefetcher(lazy_drain, max_concurrent=1):
+    """A production (lazy) prefetcher, or the rebuild-drain oracle."""
     sim = Simulator()
     endpoint = SlowEndpoint()
     origins = OriginMap()
     origins.register(ORIGIN, endpoint, Link(rtt=0.02))
     cache = PrefetchCache()
     learner = DynamicLearner(AnalysisResult("t", [], []))
-    prefetcher = Prefetcher(
-        sim,
-        origins,
-        cache,
-        ProxyConfig(),
-        learner,
-        max_concurrent=max_concurrent,
-        lazy_drain=lazy_drain,
+    factory = Prefetcher if lazy_drain else RebuildDrainPrefetcher
+    prefetcher = factory(
+        sim, origins, cache, ProxyConfig(), learner, max_concurrent=max_concurrent
     )
     return sim, endpoint, cache, prefetcher
 

@@ -1,4 +1,4 @@
-"""Sharded cache + timer wheel vs the naive full-scan oracle."""
+"""Sharded cache + timer wheel vs the flat full-scan oracle."""
 
 import random
 
@@ -9,6 +9,8 @@ from repro.httpmsg.message import Request, Response
 from repro.httpmsg.uri import Uri
 from repro.proxy.cache import PrefetchCache
 from repro.proxy.timerwheel import TimerWheel
+
+from tests.oracles import FlatPrefetchCache
 
 
 def request(cid="1"):
@@ -61,7 +63,7 @@ def test_wheel_advance_never_moves_backwards():
 # -- boundary + overwrite semantics ------------------------------------------
 @pytest.mark.parametrize("indexed", [True, False])
 def test_boundary_now_equals_expires_at(indexed):
-    cache = PrefetchCache(indexed=indexed)
+    cache = PrefetchCache() if indexed else FlatPrefetchCache()
     cache.put("u1", request(), response(), "s#0", now=0.0, ttl=5.0)
     assert cache.get("u1", request(), now=4.999) is not None
     assert cache.get("u1", request(), now=5.0) is None
@@ -70,7 +72,7 @@ def test_boundary_now_equals_expires_at(indexed):
 
 @pytest.mark.parametrize("indexed", [True, False])
 def test_boundary_purge_at_exact_expiry(indexed):
-    cache = PrefetchCache(indexed=indexed)
+    cache = PrefetchCache() if indexed else FlatPrefetchCache()
     cache.put("u1", request(), response(), "s#0", now=0.0, ttl=5.0)
     assert cache.purge_expired(now=4.999) == 0
     assert cache.purge_expired(now=5.0) == 1
@@ -78,7 +80,7 @@ def test_boundary_purge_at_exact_expiry(indexed):
 
 
 def test_overwrite_unexpired_entry_survives_stale_wheel_schedule():
-    cache = PrefetchCache(indexed=True)
+    cache = PrefetchCache()
     cache.put("u1", request(), response(1), "s#0", now=0.0, ttl=1.0)
     # refresh before the first schedule fires; the wheel still holds
     # the old (entry, tick=1.0) schedule, which must be recognized as
@@ -92,7 +94,7 @@ def test_overwrite_unexpired_entry_survives_stale_wheel_schedule():
 
 
 def test_refresh_same_expiry_tick_not_double_purged():
-    cache = PrefetchCache(indexed=True)
+    cache = PrefetchCache()
     cache.put("u1", request(), response(1), "s#0", now=0.0, ttl=10.0)
     cache.put("u1", request(), response(2), "s#0", now=0.0, ttl=10.0)
     # two schedules point at one live entry; only one eviction happens
@@ -101,11 +103,11 @@ def test_refresh_same_expiry_tick_not_double_purged():
     assert cache.expired_evictions == 1
 
 
-# -- differential: sharded/wheel vs naive full scan ---------------------------
+# -- differential: sharded/wheel vs the flat full-scan oracle -----------------
 def test_sharded_matches_naive_under_randomized_ttls():
     rng = random.Random(2018)
-    indexed = PrefetchCache(indexed=True)
-    naive = PrefetchCache(indexed=False)
+    indexed = PrefetchCache()
+    naive = FlatPrefetchCache()
     users = ["u{}".format(i) for i in range(8)]
     now = 0.0
     for step in range(2000):
@@ -137,8 +139,8 @@ def test_sharded_matches_naive_under_randomized_ttls():
 
 
 def test_entries_for_user_deterministic_insertion_order():
-    indexed = PrefetchCache(indexed=True)
-    naive = PrefetchCache(indexed=False)
+    indexed = PrefetchCache()
+    naive = FlatPrefetchCache()
     for i in (3, 1, 2):
         for cache in (indexed, naive):
             cache.put("u1", request(cid=str(i)), response(i), "s#{}".format(i), 0.0, 60.0)
@@ -152,13 +154,6 @@ def test_entries_for_user_deterministic_insertion_order():
 
 
 # -- LRU bounds ---------------------------------------------------------------
-def test_bounds_require_indexed_cache():
-    with pytest.raises(ValueError):
-        PrefetchCache(indexed=False, max_entries_per_user=4)
-    with pytest.raises(ValueError):
-        PrefetchCache(indexed=False, max_bytes=1024)
-
-
 def test_max_entries_per_user_evicts_least_recently_used():
     cache = PrefetchCache(max_entries_per_user=2)
     cache.put("u1", request(cid="a"), response(), "s#a", 0.0, 60.0)
@@ -202,7 +197,7 @@ def test_byte_accounting_on_overwrite_and_expiry():
 
 
 def test_unbounded_indexed_cache_skips_lru_tracking():
-    cache = PrefetchCache(indexed=True)
+    cache = PrefetchCache()
     cache.put("u1", request(), response(), "s#0", 0.0, 60.0)
     cache.get("u1", request(), 1.0)
     assert cache._lru == {}

@@ -26,6 +26,8 @@ from repro.proxy.instances import (
     is_per_user_tag,
 )
 
+from tests.oracles import build_naive
+
 
 def host_atom():
     return UnknownAtom("env:config:api_host")
@@ -273,7 +275,7 @@ def test_plan_build_matches_naive_oracle_complete():
         instance = RequestInstance(signature, "u1")
         instance.fill(FieldPath.parse("body.cid"), cid)
         planned = instance.build(store)
-        naive = instance.build(store, use_plan=False)
+        naive = build_naive(instance, store)
         assert planned is not None and naive is not None
         assert serialize_request(planned) == serialize_request(naive)
 
@@ -284,7 +286,7 @@ def test_plan_build_matches_naive_oracle_incomplete():
     instance.fill(FieldPath.parse("body.cid"), "x")
     store = ValueStore()  # host + cookie unknown: both paths must fail
     assert instance.build(store) is None
-    assert instance.build(store, use_plan=False) is None
+    assert build_naive(instance, store) is None
 
 
 def test_plan_memo_tracks_store_version():
@@ -324,5 +326,5 @@ def test_plan_variant_choice_matches_naive():
     for preferred in (None, frozenset({"body.a"})):
         instance = RequestInstance(runtime, "u1")
         planned = instance.build(store, preferred_variant=preferred)
-        naive = instance.build(store, preferred_variant=preferred, use_plan=False)
+        naive = build_naive(instance, store, preferred_variant=preferred)
         assert serialize_request(planned) == serialize_request(naive)

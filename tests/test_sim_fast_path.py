@@ -1,7 +1,7 @@
 """Fast-path scheduler vs heap-only compat scheduler.
 
-``Simulator(fast_path=False)`` keeps the seed's pure-heap loop as the
-differential oracle: both modes must produce the same callback order,
+:class:`tests.oracles.HeapOnlySimulator` keeps the seed's pure-heap loop
+as the differential oracle: both must produce the same callback order,
 the same virtual timestamps, and the same return values on workloads
 that mix zero-delay spawn chains, timed delays, events, timeouts,
 errors, and interrupts.
@@ -11,6 +11,13 @@ import pytest
 
 from repro.metrics.perf import PERF
 from repro.netsim.sim import Delay, Event, Process, Simulator, Timeout
+
+from tests.oracles import HeapOnlySimulator
+
+
+def make_simulator(fast_path):
+    """The production scheduler, or the heap-only oracle."""
+    return Simulator() if fast_path else HeapOnlySimulator()
 
 
 # ======================================================================
@@ -58,7 +65,7 @@ def spawn_heavy_workload(sim, trace):
 
 
 def run_workload(fast_path):
-    sim = Simulator(fast_path=fast_path)
+    sim = make_simulator(fast_path)
     trace = []
     value = sim.run_process(spawn_heavy_workload(sim, trace)())
     return trace, value, sim.now
@@ -68,16 +75,6 @@ def test_fast_path_trace_identical_to_compat():
     fast = run_workload(True)
     compat = run_workload(False)
     assert fast == compat
-
-
-def test_default_fast_path_toggle_controls_new_simulators():
-    assert Simulator().fast_path is True
-    try:
-        Simulator.default_fast_path = False
-        assert Simulator().fast_path is False
-        assert Simulator(fast_path=True).fast_path is True
-    finally:
-        Simulator.default_fast_path = True
 
 
 def test_run_until_identical_in_both_modes():
@@ -91,7 +88,7 @@ def test_run_until_identical_in_both_modes():
 
     outcomes = []
     for fast_path in (True, False):
-        sim = Simulator(fast_path=fast_path)
+        sim = make_simulator(fast_path)
         ticks = []
         sim.spawn(clocked(sim, ticks)())
         stopped = sim.run(until=0.35)
@@ -102,7 +99,7 @@ def test_run_until_identical_in_both_modes():
 
 def test_interrupt_identical_in_both_modes():
     def run(fast_path):
-        sim = Simulator(fast_path=fast_path)
+        sim = make_simulator(fast_path)
         log = []
 
         def worker():
@@ -144,7 +141,7 @@ def test_inline_start_counter_increments_on_spawn_chains():
 
 
 def test_compat_mode_never_inlines():
-    sim = Simulator(fast_path=False)
+    sim = HeapOnlySimulator()
 
     def child():
         yield Delay(0.0)
