@@ -532,6 +532,7 @@ def _command_scale(args) -> int:
                         "slo": row.get("slo"),
                         "live_readings": (row.get("live") or {}).get("readings"),
                         "backpressure": row.get("backpressure"),
+                        "peak_rss_bytes": row["peak_rss_bytes"],
                     }
                     for row in result["rows"]
                 ],

@@ -12,15 +12,17 @@ Serving-scale layout
 The store is *sharded by user*: one inner dict per user keyed by
 ``exact_key``, so lookup, insert, and ``entries_for_user`` touch only
 that user's shard, and a hierarchical
-:class:`~repro.proxy.timerwheel.TimerWheel` files every entry by
-expiry tick so ``purge_expired(now)`` visits only buckets the clock
-passed — per-request cost stays flat as the user population grows.
+:class:`~repro.proxy.timerwheel.TimerWheel` files every entry's
+``(user, exact_key, expires_at)`` by expiry tick so
+``purge_expired(now)`` visits only buckets the clock passed —
+per-request cost stays flat as the user population grows.
 Optional bounds (``max_entries_per_user``, byte-accounted
 ``max_bytes``) evict least-recently-used entries when a deployment
-must cap memory.  The seed's flat table with full-scan purge/lookup
-lives on as the differential oracle ``tests/oracles/cache.py``: both
-must agree on every observable result
-(``tests/test_proxy_cache_scale.py``).
+must cap memory; since the wheel holds keys, not entries, an evicted
+entry and its response are freed on eviction, not at their TTL.  The
+seed's flat table with full-scan purge/lookup lives on as the
+differential oracle ``tests/oracles/cache.py``: both must agree on
+every observable result (``tests/test_proxy_cache_scale.py``).
 
 Adaptive per-user budgets
 -------------------------
@@ -155,7 +157,9 @@ class PrefetchCache:
             self._count += 1
         else:
             self._note_wasted(previous)
-        self._wheel.schedule(entry.expires_at, (user, exact, entry))
+        # the wheel files the key and expiry stamp, never the entry: an
+        # entry evicted or overwritten before its TTL is freed at once
+        self._wheel.schedule(entry.expires_at, (user, exact, entry.expires_at))
         if self._bounded:
             entry.size_bytes = response.wire_size()
             self.total_bytes += entry.size_bytes
@@ -351,15 +355,16 @@ class PrefetchCache:
         """Evict every expired entry; returns how many went.
 
         The timer wheel surfaces only buckets the clock passed; each
-        candidate is revalidated against its shard (it may have been
-        overwritten or evicted since scheduling), so cost tracks
+        candidate ``(user, exact_key, expires_at)`` is revalidated
+        against its shard by key and expiry stamp (the entry may have
+        been overwritten or evicted since scheduling), so cost tracks
         expirations, not population.
         """
         purged = 0
-        for user, exact, entry in self._wheel.advance(now):
+        for user, exact, expires_at in self._wheel.advance(now):
             live = self._lookup(user, exact)
-            if live is not entry or not entry.expired(now):
-                continue  # overwritten, already evicted, or refreshed
+            if live is None or live.expires_at != expires_at:
+                continue  # overwritten or already evicted
             self._remove(user, exact)
             purged += 1
         self.expired_evictions += purged

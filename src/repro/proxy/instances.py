@@ -44,7 +44,7 @@ PER_USER_TAG_PREFIXES = (
 
 
 def is_per_user_tag(tag: str) -> bool:
-    return any(tag.startswith(prefix) for prefix in PER_USER_TAG_PREFIXES)
+    return tag.startswith(PER_USER_TAG_PREFIXES)
 
 
 class TemplateMatcher:
@@ -156,6 +156,48 @@ class RuntimeSignature:
         #: edges where this signature is the successor
         self.in_edges: List[DependencyEdge] = []
         self._build_plan: Optional["SignatureBuildPlan"] = None
+        self._shared_wake_keys, self._user_wake_keys = self._wake_key_templates()
+
+    def _wake_key_templates(self) -> Tuple[List[Tuple], List[Tuple]]:
+        """Wake keys of this signature's instances, built once.
+
+        App-level keys are complete as they stand; user-bound ones are
+        ``(kind, rest)`` pairs that :meth:`wake_keys` completes with the
+        instance's user.  Mirrors :meth:`RequestInstance.resolve_field`:
+        wildcard atoms read the tag store (and, for single-atom
+        templates, the observed field value); alternations read the
+        observed field value; dependency atoms are bound at spawn time
+        and never wake.
+        """
+        shared: Dict[Tuple, None] = {}
+        per_user: Dict[Tuple, None] = {}
+        site = self.site
+        rows = [("uri", self.signature.request.uri)]
+        rows.extend((path_string, template) for _, path_string, template in self.field_rows)
+        for path_string, template in rows:
+            for atom in template.atoms:
+                if isinstance(atom, UnknownAtom):
+                    if is_per_user_tag(atom.tag):
+                        per_user[("tag", (atom.tag,))] = None
+                    else:
+                        shared[("tag", None, atom.tag)] = None
+                    if len(template.atoms) == 1:
+                        per_user[("field", (site, path_string))] = None
+                        shared[("field", None, site, path_string)] = None
+                elif isinstance(atom, AltAtom):
+                    per_user[("field", (site, path_string))] = None
+                    shared[("field", None, site, path_string)] = None
+        if len(self.signature.variants) > 1:
+            per_user[("variant", (site,))] = None
+        return list(shared), list(per_user)
+
+    def wake_keys(self, user: str) -> List[Tuple]:
+        """Every store/variant key whose learning could help resolve an
+        instance of this signature for ``user`` — a superset, so waking
+        is always sound.  Distinct keys, in a fixed order."""
+        keys = list(self._shared_wake_keys)
+        keys.extend((kind, user) + rest for kind, rest in self._user_wake_keys)
+        return keys
 
     @property
     def build_plan(self) -> "SignatureBuildPlan":

@@ -42,13 +42,9 @@ is drained.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Dict, List, Optional, Set, Tuple
+from typing import Deque, Dict, List, Optional, Tuple
 
-from repro.analysis.model import (
-    AltAtom,
-    AnalysisResult,
-    UnknownAtom,
-)
+from repro.analysis.model import AnalysisResult, UnknownAtom
 from repro.httpmsg.cookies import CookieJar
 from repro.httpmsg.fieldpath import FieldPath
 from repro.httpmsg.message import Request, Response, Transaction
@@ -155,19 +151,23 @@ class DynamicLearner:
         #: never be reconstructed (§7's comparison)
         self.static_only = static_only
         self.preferred_variant: Dict[Tuple[str, str], frozenset] = {}
-        # pending-instance state: a FIFO deque for eviction order (may
-        # hold stale entries, skipped lazily), the live-instance map,
-        # and the wake index mapping each missing tag/field key to the
-        # instances blocked on it, so learning a value retries only the
-        # affected instances instead of rescanning the whole list
-        self._queue: Deque[RequestInstance] = deque()
+        # pending-instance state: the live-instance map (its insertion
+        # order is enqueue order, so its head is the oldest-first
+        # eviction victim) and the wake index mapping each missing
+        # tag/field key to the instances blocked on it, so learning a
+        # value retries only the affected instances instead of
+        # rescanning the whole list
         self._pending_keys: Dict[Tuple, RequestInstance] = {}
         #: live pending instances per (user, site) — backs the proxy's
         #: ``wildcard_pending`` miss-cause attribution in O(1)
         self._pending_sites: Dict[Tuple[str, str], int] = {}
-        self._wake_index: Dict[Tuple, List[RequestInstance]] = {}
+        #: wake key -> {pending_seq: instance} over live instances only;
+        #: completion and eviction remove an instance from its buckets
+        #: and delete the emptied ones
+        self._wake_index: Dict[Tuple, Dict[int, RequestInstance]] = {}
         self._woken: Dict[Tuple, None] = {}  # ordered set of fired keys
-        self._fresh: List[RequestInstance] = []
+        #: live instances enqueued since the last drain, by pending_seq
+        self._fresh: Dict[int, RequestInstance] = {}
         self._enqueue_seq = 0
         self._jars: Dict[str, CookieJar] = {}
         self.observed_count = 0
@@ -459,74 +459,48 @@ class DynamicLearner:
         self.wake_events += 1
         self._woken[key] = None
 
-    def _is_live(self, instance: RequestInstance) -> bool:
-        return self._pending_keys.get(instance.pending_key) is instance
-
     def has_pending(self, user: str, site: str) -> bool:
         """Is some instance of ``site`` for ``user`` still incomplete?"""
         return (user, site) in self._pending_sites
 
     def _forget_pending(self, instance: RequestInstance) -> None:
-        """Drop ``instance`` from the per-(user, site) pending index."""
+        """Drop a completed or evicted ``instance`` from every pending
+        index, so none of them keeps it alive."""
+        del self._pending_keys[instance.pending_key]
         slot = (instance.user, instance.signature.site)
         remaining = self._pending_sites.get(slot, 0) - 1
         if remaining > 0:
             self._pending_sites[slot] = remaining
         else:
             self._pending_sites.pop(slot, None)
-
-    def _wake_keys(self, instance: RequestInstance) -> Set[Tuple]:
-        """Every store/variant key whose learning could help resolve
-        ``instance`` — a superset, so waking is always sound.
-
-        Mirrors :meth:`RequestInstance.resolve_field`: wildcard atoms
-        read the tag store (and, for single-atom templates, the
-        observed field value); alternations read the observed field
-        value; dependency atoms are bound at spawn time and never wake.
-        """
-        keys: Set[Tuple] = set()
-        signature = instance.signature
-        user = instance.user
-        site = signature.site
-        rows = [("uri", signature.signature.request.uri)]
-        rows.extend(
-            (path_string, template)
-            for _path, path_string, template in signature.field_rows
-        )
-        for path_string, template in rows:
-            for atom in template.atoms:
-                if isinstance(atom, UnknownAtom):
-                    tag_user = user if is_per_user_tag(atom.tag) else None
-                    keys.add(("tag", tag_user, atom.tag))
-                    if len(template.atoms) == 1:
-                        keys.add(("field", user, site, path_string))
-                        keys.add(("field", None, site, path_string))
-                elif isinstance(atom, AltAtom):
-                    keys.add(("field", user, site, path_string))
-                    keys.add(("field", None, site, path_string))
-        if len(signature.signature.variants) > 1:
-            keys.add(("variant", user, site))
-        return keys
+        seq = instance.pending_seq
+        self._fresh.pop(seq, None)
+        for wake_key in instance.signature.wake_keys(instance.user):
+            bucket = self._wake_index[wake_key]
+            del bucket[seq]
+            if not bucket:
+                del self._wake_index[wake_key]
 
     def _enqueue(self, instance: RequestInstance) -> None:
         key = instance.dedupe_key()
         if key in self._pending_keys:
             return
-        while len(self._pending_keys) >= MAX_PENDING and self._queue:
-            dropped = self._queue.popleft()
-            if self._is_live(dropped):
-                del self._pending_keys[dropped.pending_key]
-                self._forget_pending(dropped)
+        while len(self._pending_keys) >= MAX_PENDING:
+            self._forget_pending(next(iter(self._pending_keys.values())))
         self._enqueue_seq += 1
-        instance.pending_seq = self._enqueue_seq
+        seq = self._enqueue_seq
+        instance.pending_seq = seq
         instance.pending_key = key
-        self._queue.append(instance)
         self._pending_keys[key] = instance
         slot = (instance.user, instance.signature.site)
         self._pending_sites[slot] = self._pending_sites.get(slot, 0) + 1
-        for wake_key in self._wake_keys(instance):
-            self._wake_index.setdefault(wake_key, []).append(instance)
-        self._fresh.append(instance)
+        for wake_key in instance.signature.wake_keys(instance.user):
+            bucket = self._wake_index.get(wake_key)
+            if bucket is None:
+                self._wake_index[wake_key] = {seq: instance}
+            else:
+                bucket[seq] = instance
+        self._fresh[seq] = instance
         if PERF.enabled:
             PERF.incr("learner.enqueued")
 
@@ -535,34 +509,25 @@ class DynamicLearner:
 
         Only freshly enqueued instances and those registered under a
         key that fired since the last drain are rebuilt — the seed
-        rescanned the entire pending list on every observation.
+        rescanned the entire pending list on every observation.  Every
+        index holds live instances only, so nothing needs filtering.
         """
         ready: List[ReadyPrefetch] = []
         if not self._fresh and not self._woken:
             return ready
-        candidates: Dict[int, RequestInstance] = {}
-        for instance in self._fresh:
-            candidates[id(instance)] = instance
-        self._fresh = []
+        candidates = self._fresh
+        self._fresh = {}
         if self._woken:
             fired = list(self._woken)
             self._woken.clear()
             for wake_key in fired:
                 bucket = self._wake_index.get(wake_key)
-                if bucket is None:
-                    continue
-                live = [i for i in bucket if self._is_live(i)]
-                if live:
-                    self._wake_index[wake_key] = live
-                    for instance in live:
-                        candidates[id(instance)] = instance
-                else:
-                    del self._wake_index[wake_key]
+                if bucket is not None:
+                    candidates.update(bucket)
         # retry in enqueue order so completions surface exactly as the
         # seed's full-list scan surfaced them
-        for instance in sorted(candidates.values(), key=lambda i: i.pending_seq):
-            if not self._is_live(instance):
-                continue
+        for seq in sorted(candidates):
+            instance = candidates[seq]
             preferred = self.preferred_variant.get(
                 (instance.user, instance.signature.site)
             )
@@ -572,19 +537,14 @@ class DynamicLearner:
             request = instance.try_build(self.store, preferred)
             if request is not None:
                 ready.append(ReadyPrefetch(instance, request))
-                del self._pending_keys[instance.pending_key]
                 self._forget_pending(instance)
                 self.completed_count += 1
-        # compact the deque once stale (completed/evicted) entries
-        # dominate, keeping eviction amortized O(1)
-        if len(self._queue) > 2 * len(self._pending_keys) + 64:
-            self._queue = deque(i for i in self._queue if self._is_live(i))
         return ready
 
     @property
     def _pending(self) -> List[RequestInstance]:
         """Live pending instances in enqueue order (compat view)."""
-        return [i for i in self._queue if self._is_live(i)]
+        return list(self._pending_keys.values())
 
     @property
     def pending_count(self) -> int:

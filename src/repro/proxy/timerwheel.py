@@ -19,7 +19,9 @@ passed — and the caller revalidates each one (an entry may have been
 overwritten or already evicted since it was scheduled).  Stale
 schedules therefore cost one skipped candidate, never a wrong
 eviction, which is what makes the wheel safe to run alongside
-lookup-time eviction and LRU bounds.
+lookup-time eviction and LRU bounds.  A stale schedule also keeps its
+item alive until its tick, so callers file small keys, not the objects
+they expire: the cache files ``(user, exact_key, expires_at)``.
 """
 
 from __future__ import annotations

@@ -120,6 +120,7 @@ def test_scale_slo_violation_exits_nonzero(tmp_path, capsys):
     report = json.loads(report_path.read_text())
     assert report["passed"] is False
     assert report["cells"][0]["slo"]["objectives"][0]["bad"] > 0
+    assert report["cells"][0]["peak_rss_bytes"] > 0
 
 
 def test_scale_slo_clean_run_passes(tmp_path, capsys):

@@ -1,11 +1,19 @@
 """Tests for the ``repro scale`` load harness."""
 
+import gc
 import json
 
 import pytest
 
 from repro.cli import main
-from repro.experiments.scale import record_session_template, run_scale
+from repro.experiments.scale import (
+    DEFAULT_APPS,
+    _ScaleDeployment,
+    record_session_template,
+    run_scale,
+)
+from repro.proxy.cache import CacheEntry
+from repro.proxy.instances import RequestInstance
 
 
 def test_record_session_template_yields_replayable_requests():
@@ -77,6 +85,45 @@ def test_run_scale_per_user_bound_caps_cache():
     row = run_scale(users=6, duration=5.0, seed=0, max_entries_per_user=4)
     assert row["peak_cache_entries"] <= 6 * 4
     assert row["cache_lru_evictions"] > 0
+
+
+def test_run_scale_retains_only_live_entries_and_instances():
+    """A bounded cold cell keeps exactly what its structures account
+    for: no evicted cache entry and no finished request instance stays
+    reachable after the run."""
+    gc.collect()
+    # hold the objects alive before the run so their ids stay unique
+    before = {
+        id(obj): obj
+        for obj in gc.get_objects()
+        if isinstance(obj, (CacheEntry, RequestInstance))
+    }
+    deployment = _ScaleDeployment(DEFAULT_APPS, max_entries_per_user=4)
+    row = run_scale(
+        users=200,
+        duration=2.0,
+        seed=1,
+        max_entries_per_user=4,
+        _deployment=deployment,
+    )
+    assert row["cache_lru_evictions"] > 0
+    gc.collect()
+    entries = instances = 0
+    for obj in gc.get_objects():
+        if id(obj) in before:
+            continue
+        if isinstance(obj, CacheEntry):
+            entries += 1
+        elif isinstance(obj, RequestInstance):
+            instances += 1
+    proxies = [proxy for _, proxy in deployment.multi._apps]
+    assert entries == sum(len(proxy.cache) for proxy in proxies)
+    assert instances <= sum(
+        proxy.learner.pending_count
+        + proxy.prefetcher.waiting
+        + proxy.prefetcher._active
+        for proxy in proxies
+    )
 
 
 def test_run_scale_rejects_empty_population():

@@ -1,6 +1,8 @@
 """Sharded cache + timer wheel vs the flat full-scan oracle."""
 
+import gc
 import random
+import weakref
 
 import pytest
 
@@ -104,14 +106,16 @@ def test_refresh_same_expiry_tick_not_double_purged():
 
 
 # -- differential: sharded/wheel vs the flat full-scan oracle -----------------
-def test_sharded_matches_naive_under_randomized_ttls():
-    rng = random.Random(2018)
+def _run_differential(rng, tick):
+    """Random put/get/purge traffic through both stores in lockstep;
+    ``tick()`` draws the clock step."""
     indexed = PrefetchCache()
     naive = FlatPrefetchCache()
+    naive_purged = 0
     users = ["u{}".format(i) for i in range(8)]
     now = 0.0
     for step in range(2000):
-        now += rng.random() * 0.7
+        now += tick()
         op = rng.random()
         user = rng.choice(users)
         req = request(cid=str(rng.randrange(40)))
@@ -128,14 +132,34 @@ def test_sharded_matches_naive_under_randomized_ttls():
                 assert got_indexed.site == got_naive.site
                 assert got_indexed.expires_at == got_naive.expires_at
         else:
-            assert indexed.purge_expired(now) == naive.purge_expired(now)
+            purged = indexed.purge_expired(now)
+            assert purged == naive.purge_expired(now)
+            naive_purged += purged
         assert len(indexed) == len(naive)
+        assert indexed.wheel_purged == naive_purged
+        assert indexed.expired_evictions == naive.expired_evictions
     # drain everything: both stores must agree they are empty
     now += 1e6
+    naive_purged += naive.purge_expired(now)
     indexed.purge_expired(now)
-    naive.purge_expired(now)
     assert len(indexed) == len(naive) == 0
-    assert indexed.wheel_purged > 0
+    assert indexed.wheel_purged == naive_purged > 0
+    assert indexed.expired_evictions == naive.expired_evictions
+    assert indexed.wasted == naive.wasted
+    assert indexed.wasted_by_site == naive.wasted_by_site
+
+
+def test_sharded_matches_naive_under_randomized_ttls():
+    rng = random.Random(2018)
+    _run_differential(rng, lambda: rng.random() * 0.7)
+
+
+def test_sharded_matches_naive_when_overwrites_share_expiry_stamps():
+    # a coarse clock makes overwrites land on the very expiry stamp of
+    # the entry they replace: revalidation by (key, stamp) must still
+    # purge each live entry exactly once
+    rng = random.Random(2019)
+    _run_differential(rng, lambda: rng.choice([0.0, 0.0, 0.5]))
 
 
 def test_entries_for_user_deterministic_insertion_order():
@@ -202,3 +226,40 @@ def test_unbounded_indexed_cache_skips_lru_tracking():
     cache.get("u1", request(), 1.0)
     assert cache._lru == {}
     assert cache.lru_evictions == 0
+
+
+# -- retention: dropped entries are freed at once, not at their TTL ----------
+def _assert_dropped_response_freed(cache, drop):
+    """Store one response, ``drop(cache)`` it, and check nothing in the
+    cache (its wheel included) still keeps it alive."""
+    dropped = response("dropped")
+    ref = weakref.ref(dropped)
+    cache.put("u1", request(cid="a"), dropped, "s#a", 0.0, 600.0)
+    del dropped
+    drop(cache)
+    gc.collect()
+    assert ref() is None
+
+
+def test_entry_evicted_by_per_user_bound_frees_its_response():
+    def drop(cache):
+        cache.put("u1", request(cid="b"), response(), "s#b", 1.0, 600.0)
+        assert cache.lru_evictions == 1
+
+    _assert_dropped_response_freed(PrefetchCache(max_entries_per_user=1), drop)
+
+
+def test_entry_evicted_by_total_bound_frees_its_response():
+    def drop(cache):
+        cache.put("u2", request(cid="b"), response(), "s#b", 1.0, 600.0)
+        assert cache.lru_evictions == 1
+
+    _assert_dropped_response_freed(PrefetchCache(max_entries_total=1), drop)
+
+
+def test_overwritten_entry_frees_its_response():
+    def drop(cache):
+        cache.put("u1", request(cid="a"), response(), "s#a", 1.0, 600.0)
+        assert len(cache) == 1
+
+    _assert_dropped_response_freed(PrefetchCache(), drop)

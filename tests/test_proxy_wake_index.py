@@ -7,6 +7,7 @@ and the unchanged observable behavior (pending_count, dedupe,
 oldest-first eviction at MAX_PENDING).
 """
 
+import gc
 
 from repro.analysis.model import (
     AnalysisResult,
@@ -272,3 +273,40 @@ def test_preferred_variant_change_wakes_instances():
     assert ready[0].request.body.get("cid") == "a1"
     assert ready[0].request.body.get("ref") is None
     assert learner.pending_count == 0
+
+
+# -- retention: the wake index holds live instances only ---------------------
+def live_instances_of(user):
+    """Ids of the instances for ``user`` that anything still keeps alive."""
+    gc.collect()
+    return {
+        id(obj)
+        for obj in gc.get_objects()
+        if isinstance(obj, RequestInstance) and obj.user == user
+    }
+
+
+def test_completed_instances_leave_the_wake_index():
+    learner = DynamicLearner(two_successor_analysis())
+    learner.observe(feed_transaction(), "done-user")
+    ready = learner.observe(teach_alpha_transaction(), "done-user")
+    assert len(ready) == 2
+    del ready  # the prefetcher is done with the completed Alpha instances
+    assert live_instances_of("done-user") == set(map(id, learner._pending))
+    # learn Beta's tag too: every instance completes
+    learner.store.learn_tag("done-user", "env:config:beta", "tok-B")
+    ready = learner.observe(feed_transaction(item_ids=()), "done-user")
+    assert len(ready) == 2
+    assert learner.pending_count == 0
+    assert learner._wake_index == {}
+    del ready
+    assert live_instances_of("done-user") == set()
+
+
+def test_instances_dropped_at_max_pending_leave_the_wake_index(monkeypatch):
+    monkeypatch.setattr(learning_module, "MAX_PENDING", 2)
+    learner = DynamicLearner(two_successor_analysis())
+    learner.observe(feed_transaction(item_ids=("x1", "x2", "x3")), "evict-user")
+    assert learner.pending_count == 2
+    # the four dropped instances are garbage, not pinned by a bucket
+    assert live_instances_of("evict-user") == set(map(id, learner._pending))
