@@ -648,22 +648,25 @@ def _command_stats(args) -> int:
                 )
             )
     if summary.get("prefetch_by_signature"):
+        # yield (hits per issued prefetch) is the §5 queue priority; a
+        # signature starved by the queue shows a long mean wait
         print("per-signature prefetch efficacy:")
         print(
-            "  {:<42} {:>7} {:>7} {:>7} {:>7}".format(
-                "signature", "issued", "hits", "wasted", "hit%"
+            "  {:<42} {:>7} {:>7} {:>7} {:>7} {:>12}".format(
+                "signature", "issued", "hits", "wasted", "yield", "mean wait ms"
             )
         )
         for signature in sorted(summary["prefetch_by_signature"]):
             row = summary["prefetch_by_signature"][signature]
             issued = row.get("issued", 0)
             print(
-                "  {:<42} {:>7} {:>7} {:>7} {:>6.0f}%".format(
+                "  {:<42} {:>7} {:>7} {:>7} {:>7.2f} {:>12.1f}".format(
                     signature,
                     issued,
                     row.get("hits", 0),
                     row.get("wasted", 0),
-                    100.0 * row.get("hits", 0) / issued if issued else 0.0,
+                    row.get("hits", 0) / issued if issued else 0.0,
+                    row.get("queue_wait_ms", 0) / issued if issued else 0.0,
                 )
             )
     if args.prom:

@@ -774,19 +774,27 @@ def run_scale(
     requests = state["completed"]
     answered = served + forwarded
 
-    # per-signature prefetch efficacy: issued / hits / wasted, merged
-    # across apps — the audit table behind admission decisions
+    # per-signature prefetch efficacy: issued / hits / wasted and the
+    # total queue wait, merged across apps — the audit table behind
+    # admission decisions and the §5 queue order
     by_signature: Dict[str, Dict[str, int]] = {}
 
     def _signature_cell(site: str) -> Dict[str, int]:
         cell = by_signature.get(site)
         if cell is None:
-            cell = by_signature[site] = {"issued": 0, "hits": 0, "wasted": 0}
+            cell = by_signature[site] = {
+                "issued": 0,
+                "hits": 0,
+                "wasted": 0,
+                "queue_wait_ms": 0,
+            }
         return cell
 
     for _, proxy in multi._apps:
         for site, count in proxy.prefetcher.issued_by_site.items():
             _signature_cell(site)["issued"] += count
+        for site, seconds in proxy.prefetcher.queue_wait_by_site.items():
+            _signature_cell(site)["queue_wait_ms"] += int(round(1000 * seconds))
         for site, count in proxy.cache.hits.items():
             _signature_cell(site)["hits"] += count
         for site, count in proxy.cache.wasted_by_site.items():

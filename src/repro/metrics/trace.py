@@ -440,11 +440,9 @@ def aggregate_records(records) -> Dict[str, object]:
             table = record.get("tags", {}).get("prefetch_by_signature")
             if isinstance(table, dict):
                 for site, cell in table.items():
-                    merged = prefetch_by_signature.setdefault(
-                        site, {"issued": 0, "hits": 0, "wasted": 0}
-                    )
-                    for key in merged:
-                        merged[key] += int(cell.get(key, 0))
+                    merged = prefetch_by_signature.setdefault(site, {})
+                    for key, value in cell.items():
+                        merged[key] = merged.get(key, 0) + int(value)
         for span in record["spans"]:
             name = span["name"]
             wall_by_stage.setdefault(name, []).append(span["wall_us"])

@@ -127,14 +127,14 @@ class PrefetchCache:
         self._mass_prev: Dict[str, int] = {}
         self._mass_cur_total = 0
         self._mass_prev_total = 0
-        self._stats_listeners: List[Callable[[str], None]] = []
+        self._hit_listeners: List[Callable[[str], None]] = []
 
     # ------------------------------------------------------------------
-    def add_stats_listener(self, listener: Callable[[str], None]) -> None:
-        """Call ``listener(site)`` whenever a hit/miss moves a site's
-        hit rate — the prefetcher uses this to re-rank its queue
-        lazily instead of rebuilding it."""
-        self._stats_listeners.append(listener)
+    def add_hit_listener(self, listener: Callable[[str], None]) -> None:
+        """Call ``listener(site)`` on every recorded hit — a hit moves
+        the site's prefetch yield, and the prefetcher uses this to
+        re-rank its queue lazily instead of rebuilding it."""
+        self._hit_listeners.append(listener)
 
     # ------------------------------------------------------------------
     def put(
@@ -332,13 +332,11 @@ class PrefetchCache:
         self.hits[site] = self.hits.get(site, 0) + 1
         if PERF.enabled:
             PERF.registry.inc("prefetch_hits", labels={"signature": site})
-        for listener in self._stats_listeners:
+        for listener in self._hit_listeners:
             listener(site)
 
     def record_miss(self, site: str) -> None:
         self.misses[site] = self.misses.get(site, 0) + 1
-        for listener in self._stats_listeners:
-            listener(site)
 
     def contains_fresh(self, user: str, request: Request, now: float) -> bool:
         entry = self._lookup(user, request.exact_key())

@@ -4,26 +4,34 @@ Eligibility gates (§4.4): per-signature ``prefetch`` flag, probability
 (per-signature × global), predecessor-field conditions, the chain-depth
 bound, and the data-usage budget (C4).  When more requests are ready
 than the concurrency limit allows, the waiting queue is drained in
-priority order — a linear combination of the signature's running-average
-origin response time and its cache hit rate, exactly the §5 policy
-("prioritize requests that take longer to complete and signatures that
-generate higher hit rates").
+priority order: a signature's *yield* — cache hits per prefetch issued,
+0 before its first issue — with FIFO on ties.
+
+The paper ranks by a linear combination of the signature's
+running-average origin response time and its hit rate ("prioritize
+requests that take longer to complete and signatures that generate
+higher hit rates").  This scheduler departs from it on purpose.  A
+prefetch holds a slot for about its origin response time and, on a hit,
+saves about that same time, so latency saved per slot-second *is* the
+yield; adding the response time counts the same cost twice.  Under a
+backed-up pipe that double count let slow signatures clients rarely
+used drain first while the ones they used waited until the user had
+moved on.  ``avg_response_time`` stays as a per-signature statistic.
 
 Lazy epoch-stamped drain
 ------------------------
 The seed re-ranked the *entire* waiting queue on every completed fetch
 (rebuild + heapify: O(W) per drain), because a completion moves the §5
-signals.  But priority is a per-*site* property, so the queue now keeps
-one FIFO per site plus a heap holding at most one live head entry per
-site, stamped with that site's *epoch*.  Whenever a site's priority
-inputs move — its running-average response time (an observable dict) or
-its hit rate (a cache stats listener) — the epoch bumps and a fresh
-head entry is pushed eagerly; stale stamps are discarded on pop.  Each
-drain step is O(log S) for S sites with queued work, and the pop order
-is exactly the rebuild-drain's order: max current priority, FIFO on
-ties (per-site FIFOs preserve sequence order, and every heap entry
-carries its site's current head sequence).  The seed's
-rebuild-everything drain lives on as the differential oracle
+signals.  But priority is a per-*site* property, so the queue keeps one
+FIFO per site plus a heap holding at most one live head entry per site,
+stamped with that site's *epoch*.  Whenever a site's yield moves — a
+completed issue (``_fetch``) or a cache hit (a cache hit listener) —
+the epoch bumps and a fresh head entry is pushed eagerly; stale stamps
+are discarded on pop.  Each drain step is O(log S) for S sites with
+queued work, and the pop order is exactly the rebuild-drain's order:
+max current priority, FIFO on ties (per-site FIFOs preserve sequence
+order, and every heap entry carries its site's current head sequence).
+The seed's rebuild-everything drain lives on as the differential oracle
 ``tests/oracles/prefetcher.py`` (``tests/test_prefetcher_drain_equiv.py``
 replays recorded workloads through both and asserts identical issue
 order).
@@ -34,7 +42,7 @@ from __future__ import annotations
 import heapq
 import random
 from collections import deque
-from typing import Callable, Deque, Dict, Generator, List, Optional, Set, Tuple
+from typing import Deque, Dict, Generator, List, Optional, Set, Tuple
 
 from repro.httpmsg.message import Request, Response, Transaction
 from repro.metrics.perf import PERF
@@ -45,41 +53,6 @@ from repro.proxy.cache import PrefetchCache
 from repro.proxy.config import ProxyConfig
 from repro.proxy.learning import DynamicLearner, ReadyPrefetch
 from repro.proxy.popularity import PopularityTracker, item_key_for_instance
-
-#: §5 priority weights: seconds of origin RTT vs hit-rate fraction
-TIME_WEIGHT = 1.0
-HIT_RATE_WEIGHT = 0.5
-
-
-class _ObservedDict(dict):
-    """Dict that reports every key whose value is (re)assigned.
-
-    ``avg_response_time`` is public state — tests and ablations assign
-    into it directly — so priority invalidation hooks the container
-    instead of trusting every caller to call a bump method.
-    """
-
-    __slots__ = ("_on_change",)
-
-    def __init__(self, on_change: Callable[[str], None]) -> None:
-        super().__init__()
-        self._on_change = on_change
-
-    def __setitem__(self, key: str, value: float) -> None:
-        super().__setitem__(key, value)
-        self._on_change(key)
-
-    def __delitem__(self, key: str) -> None:
-        super().__delitem__(key)
-        self._on_change(key)
-
-    def update(self, *args, **kwargs) -> None:  # keep observation complete
-        for mapping in args:
-            for key, value in dict(mapping).items():
-                self[key] = value
-        for key, value in kwargs.items():
-            self[key] = value
-
 
 def origin_fetch(
     sim: Simulator, origins: OriginMap, request: Request, user: str
@@ -123,25 +96,24 @@ class Prefetcher:
         self.popularity = PopularityTracker()
         self._active = 0
         self._sequence = 0
-        #: waiting queues: per-site FIFO of (seq, ready), a heap of
-        #: (-priority, head_seq, site, epoch) head entries, the current
-        #: per-site epoch, and the total queued count
-        self._site_fifos: Dict[str, Deque[Tuple[int, ReadyPrefetch]]] = {}
+        #: waiting queues: per-site FIFO of (seq, queued_at, ready), a
+        #: heap of (-priority, head_seq, site, epoch) head entries, the
+        #: current per-site epoch, and the total queued count
+        self._site_fifos: Dict[str, Deque[Tuple[int, float, ReadyPrefetch]]] = {}
         self._site_heap: List[Tuple[float, int, str, int]] = []
         self._site_epoch: Dict[str, int] = {}
         self._waiting_count = 0
         self.stale_heap_entries = 0
         self._inflight: Set[Tuple[str, str]] = set()
-        #: running average origin response time per signature site;
-        #: assignment (from anywhere) invalidates that site's queued
-        #: priority via the epoch
-        self.avg_response_time: Dict[str, float] = _ObservedDict(self._bump_epoch)
+        #: running average origin response time per signature site
+        self.avg_response_time: Dict[str, float] = {}
         self._response_samples: Dict[str, int] = {}
-        if hasattr(cache, "add_stats_listener"):
-            cache.add_stats_listener(self._bump_epoch)
+        cache.add_hit_listener(self._bump_epoch)
         self.prefetch_bytes = 0
         self.issued = 0
         self.issued_by_site: Dict[str, int] = {}
+        #: simulated seconds from submit to issue, summed per site
+        self.queue_wait_by_site: Dict[str, float] = {}
         self.success_by_site: Dict[str, int] = {}
         self.error_by_site: Dict[str, int] = {}
         #: one example request per site (verification probes reuse them)
@@ -227,7 +199,7 @@ class Prefetcher:
             return "skipped_duplicate"
         self._inflight.add(key)
         if self._active < self.max_concurrent:
-            self._start(ready)
+            self._start(ready, self.sim.now)
             return "started"
         self._sequence += 1
         self._enqueue_waiting(site, self._sequence, ready)
@@ -250,13 +222,16 @@ class Prefetcher:
         threshold = self.config.admission_threshold_for(site)
         if threshold is None or threshold <= 0.0:
             return True
-        issued = self.issued_by_site.get(site, 0)
-        if issued < self.config.admission_min_issued:
+        if self.issued_by_site.get(site, 0) < self.config.admission_min_issued:
             return True
-        observed = self.cache.hits.get(site, 0) / issued
-        if observed >= threshold:
+        if self._yield(site) >= threshold:
             return True
         return self.rng.random() < self.config.admission_explore
+
+    def _yield(self, site: str) -> float:
+        """Cache hits per prefetch issued for ``site``; 0 before any issue."""
+        issued = self.issued_by_site.get(site, 0)
+        return self.cache.hits.get(site, 0) / issued if issued else 0.0
 
     def ttl_for(self, site: str, response: Optional[Response] = None) -> float:
         """TTL for storing a ``site`` response: learned, else configured."""
@@ -269,17 +244,14 @@ class Prefetcher:
     def _priority(self, site: str) -> float:
         if not self._priority_enabled:
             return 0.0  # heap degenerates to submission order
-        return (
-            TIME_WEIGHT * self.avg_response_time.get(site, 0.0)
-            + HIT_RATE_WEIGHT * self.cache.hit_rate(site)
-        )
+        return self._yield(site)
 
     # -- lazy-drain queue maintenance ----------------------------------
     def _enqueue_waiting(self, site: str, seq: int, ready: ReadyPrefetch) -> None:
         fifo = self._site_fifos.get(site)
         if fifo is None:
             fifo = self._site_fifos[site] = deque()
-        fifo.append((seq, ready))
+        fifo.append((seq, self.sim.now, ready))
         self._waiting_count += 1
         if len(fifo) == 1:
             self._push_head(site)
@@ -310,7 +282,11 @@ class Prefetcher:
         if self._site_fifos.get(site):
             self._push_head(site)
 
-    def _start(self, ready: ReadyPrefetch) -> None:
+    def _start(self, ready: ReadyPrefetch, queued_at: float) -> None:
+        site = ready.instance.signature.site
+        self.queue_wait_by_site[site] = self.queue_wait_by_site.get(site, 0.0) + (
+            self.sim.now - queued_at
+        )
         self._active += 1
         self.sim.spawn(self._fetch(ready))
 
@@ -339,6 +315,7 @@ class Prefetcher:
             self.prefetch_bytes += transferred
             self.issued += 1
             self.issued_by_site[site] = self.issued_by_site.get(site, 0) + 1
+            self._bump_epoch(site)
             if PERF.enabled:
                 PERF.incr("prefetch.issued")
                 PERF.registry.inc("prefetch_issued", labels={"signature": site})
@@ -422,23 +399,25 @@ class Prefetcher:
         while self._active < self.max_concurrent and self._waiting_count:
             entry = heapq.heappop(heap)
             _, head_seq, site, epoch = entry
-            if epoch != self._site_epoch.get(site, 0):
+            fifo = self._site_fifos.get(site)
+            # the head check is defensive: a live-epoch entry always
+            # names the head
+            if (
+                epoch != self._site_epoch.get(site, 0)
+                or not fifo
+                or fifo[0][0] != head_seq
+            ):
                 self.stale_heap_entries += 1
                 if PERF.enabled:
                     PERF.incr("prefetch.stale_heap_entries")
                 continue
-            fifo = self._site_fifos.get(site)
-            if not fifo or fifo[0][0] != head_seq:
-                # defensive: a live-epoch entry always names the head
-                self.stale_heap_entries += 1
-                continue
-            _, ready = fifo.popleft()
+            _, queued_at, ready = fifo.popleft()
             self._waiting_count -= 1
             if fifo:
                 self._push_head(site)
             else:
                 del self._site_fifos[site]
-            self._start(ready)
+            self._start(ready, queued_at)
 
     # ------------------------------------------------------------------
     def stats(self) -> Dict[str, int]:

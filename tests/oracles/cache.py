@@ -26,10 +26,10 @@ class FlatPrefetchCache:
         self.stored = 0
         self.wasted = 0
         self.wasted_by_site: Dict[str, int] = {}
-        self._stats_listeners: List[Callable[[str], None]] = []
+        self._hit_listeners: List[Callable[[str], None]] = []
 
-    def add_stats_listener(self, listener: Callable[[str], None]) -> None:
-        self._stats_listeners.append(listener)
+    def add_hit_listener(self, listener: Callable[[str], None]) -> None:
+        self._hit_listeners.append(listener)
 
     def put(
         self,
@@ -71,13 +71,11 @@ class FlatPrefetchCache:
 
     def record_hit(self, site: str) -> None:
         self.hits[site] = self.hits.get(site, 0) + 1
-        for listener in self._stats_listeners:
+        for listener in self._hit_listeners:
             listener(site)
 
     def record_miss(self, site: str) -> None:
         self.misses[site] = self.misses.get(site, 0) + 1
-        for listener in self._stats_listeners:
-            listener(site)
 
     def contains_fresh(self, user: str, request: Request, now: float) -> bool:
         entry = self._entries.get((user, request.exact_key()))

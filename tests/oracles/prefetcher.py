@@ -22,15 +22,17 @@ class RebuildDrainPrefetcher(Prefetcher):
 
     def __init__(self, *args, **kwargs) -> None:
         super().__init__(*args, **kwargs)
-        #: (-priority, seq, ready)
-        self._waiting: List[Tuple[float, int, ReadyPrefetch]] = []
+        #: (-priority, seq, queued_at, ready)
+        self._waiting: List[Tuple[float, int, float, ReadyPrefetch]] = []
 
     @property
     def waiting(self) -> int:
         return len(self._waiting)
 
     def _enqueue_waiting(self, site: str, seq: int, ready: ReadyPrefetch) -> None:
-        heapq.heappush(self._waiting, (-self._priority(site), seq, ready))
+        heapq.heappush(
+            self._waiting, (-self._priority(site), seq, self.sim.now, ready)
+        )
 
     def _drain(self) -> None:
         """Re-rank the whole queue from the current signals, then pop.
@@ -42,10 +44,10 @@ class RebuildDrainPrefetcher(Prefetcher):
         if self._active >= self.max_concurrent or not self._waiting:
             return
         self._waiting = [
-            (-self._priority(ready.instance.signature.site), seq, ready)
-            for _, seq, ready in self._waiting
+            (-self._priority(ready.instance.signature.site), seq, queued_at, ready)
+            for _, seq, queued_at, ready in self._waiting
         ]
         heapq.heapify(self._waiting)
         while self._active < self.max_concurrent and self._waiting:
-            _, _, ready = heapq.heappop(self._waiting)
-            self._start(ready)
+            _, _, queued_at, ready = heapq.heappop(self._waiting)
+            self._start(ready, queued_at)

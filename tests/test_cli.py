@@ -188,6 +188,30 @@ def test_stats_prom_atomic_dump(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["stats.prom", "trace.jsonl"]
 
 
+def test_stats_prints_yield_and_mean_queue_wait(tmp_path, capsys):
+    trace_path = tmp_path / "trace.jsonl"
+    code, _ = run_cli(
+        capsys, "scale", "--users", "4", "--duration", "6", "--apps", "wish",
+        "--warm-start", "--trace", str(trace_path),
+    )
+    assert code == 0
+    json_path = tmp_path / "stats.json"
+    code, out = run_cli(capsys, "stats", str(trace_path), "--json", str(json_path))
+    assert code == 0
+    assert "yield" in out and "mean wait ms" in out
+    table = json.loads(json_path.read_text())["prefetch_by_signature"]
+    assert table
+    assert sum(cell["queue_wait_ms"] for cell in table.values()) > 0
+    efficacy = out.split("per-signature prefetch efficacy:")[1].splitlines()
+    for signature, cell in table.items():
+        line = next(row for row in efficacy if row.strip().startswith(signature))
+        issued = cell["issued"]
+        assert line.split()[-2:] == [
+            "{:.2f}".format(cell["hits"] / issued),
+            "{:.1f}".format(cell["queue_wait_ms"] / issued),
+        ]
+
+
 def test_scale_compare_strategies_rejects_ignored_outputs(tmp_path, capsys):
     base = ["scale", "--users", "4", "--duration", "1", "--compare-strategies"]
     for extra in (

@@ -14,6 +14,7 @@ from repro.experiments.fleet import (
     ConsistentHashRing,
     FleetWorkerError,
     HeartbeatTracker,
+    _merge_int_tables,
     format_fleet_table,
     partition_schedule,
     run_fleet,
@@ -156,6 +157,18 @@ def test_fleet_one_worker_matches_serial():
     assert len(fleet["shards"]) == 1
 
 
+def test_signature_cells_fold_back_by_addition():
+    shard_a = {"a#0": {"issued": 4, "hits": 1, "wasted": 2, "queue_wait_ms": 40}}
+    shard_b = {
+        "a#0": {"issued": 2, "hits": 2, "wasted": 0, "queue_wait_ms": 7},
+        "(history)": {"issued": 3},
+    }
+    assert _merge_int_tables([shard_a, None, shard_b]) == {
+        "a#0": {"issued": 6, "hits": 3, "wasted": 2, "queue_wait_ms": 47},
+        "(history)": {"issued": 3},
+    }
+
+
 def test_fleet_two_workers_reproducible_and_preserves_arrivals():
     kwargs = dict(users=24, duration=6.0, seed=11, max_entries_per_user=16)
     serial = run_scale(**kwargs)
@@ -176,6 +189,10 @@ def test_fleet_two_workers_reproducible_and_preserves_arrivals():
     # and miss causes exist just like the serial row's
     assert set(first["miss_causes"]) == set(serial["miss_causes"])
     assert first["stage_latency_us"]
+    assert all(
+        isinstance(cell["queue_wait_ms"], int)
+        for cell in first["prefetch_by_signature"].values()
+    )
 
 
 def test_fleet_validates_arguments():

@@ -229,6 +229,17 @@ def test_run_scale_adaptive_budget_and_estimator_row_fields():
     assert row["prefetch_by_signature"]
 
 
+def test_run_scale_signature_cells_carry_queue_wait():
+    row = run_scale(users=4, duration=6.0, seed=0, apps=("wish",), warm_start=True)
+    cells = row["prefetch_by_signature"]
+    assert cells
+    for cell in cells.values():
+        assert isinstance(cell["queue_wait_ms"], int)
+        assert cell["queue_wait_ms"] >= 0
+    # the 64-slot pipe backs up on a warm Wish cell, so prefetches wait
+    assert sum(cell["queue_wait_ms"] for cell in cells.values()) > 0
+
+
 def test_cli_scale_compare_strategies_smoke(tmp_path, capsys):
     output = tmp_path / "compare.json"
     code = main(

@@ -5,9 +5,9 @@ FIFO within a site".  The seed re-sorted the whole waiting queue per
 drain (O(W)); the lazy drain keeps per-site FIFOs plus a head-entry
 heap invalidated by epoch stamps (amortized O(log W)).  These tests
 drive both implementations with identical recorded workloads — queue
-buildups, mid-flight priority moves, hit-rate updates, the priority
-ablation toggle — and assert the origin observed the *identical*
-issue order.
+buildups, mid-flight yield moves (hits raise a site's priority,
+completed issues lower it), the priority ablation toggle — and assert
+the origin observed the *identical* issue order.
 """
 
 import random
@@ -24,7 +24,7 @@ from repro.proxy.learning import DynamicLearner
 from repro.proxy.prefetcher import Prefetcher
 
 from tests.oracles import RebuildDrainPrefetcher
-from tests.test_proxy_prefetcher import ORIGIN, SlowEndpoint, ready_for
+from tests.test_proxy_prefetcher import ORIGIN, SlowEndpoint, issue, ready_for
 
 
 def make_prefetcher(lazy_drain, max_concurrent=1):
@@ -51,8 +51,15 @@ def replay(workload, lazy_drain, max_concurrent=1):
             _, site, path, user = op
             prefetcher.submit(ready_for(site, path, user=user))
         elif kind == "priority":
-            _, site, value = op
-            prefetcher.avg_response_time[site] = value
+            # move a site's yield: +n records n hits, -n records n
+            # completed issues exactly as ``_fetch`` does
+            _, site, delta = op
+            for _ in range(delta):
+                cache.record_hit(site)
+            if delta < 0:
+                issued = prefetcher.issued_by_site.get(site, 0) - delta
+                prefetcher.issued_by_site[site] = issued
+                prefetcher._bump_epoch(site)
         elif kind == "hit":
             cache.record_hit(op[1])
         elif kind == "miss":
@@ -84,7 +91,7 @@ def random_workload(seed, length=120):
             )
             serial += 1
         elif roll < 0.7:
-            ops.append(("priority", rng.choice(sites), rng.random() * 2.0))
+            ops.append(("priority", rng.choice(sites), rng.choice([-3, -1, 1, 2, 4])))
         elif roll < 0.8:
             ops.append((rng.choice(["hit", "miss"]), rng.choice(sites)))
         elif roll < 0.88:
@@ -101,6 +108,7 @@ def test_lazy_drain_order_matches_rebuild_oracle(seed):
     rebuild_order, rebuild = replay(workload, lazy_drain=False)
     assert lazy_order == rebuild_order
     assert lazy.issued == rebuild.issued
+    assert lazy.queue_wait_by_site == rebuild.queue_wait_by_site
 
 
 def test_lazy_drain_order_matches_with_concurrency():
@@ -114,10 +122,12 @@ def test_priority_rise_while_queued_reorders_lazily():
     # a site whose priority RISES after enqueue must jump the queue —
     # the case plain re-push-on-pop lazy invalidation gets wrong
     sim, endpoint, cache, prefetcher = make_prefetcher(lazy_drain=True)
+    issue(sim, prefetcher, "b#0")
+    endpoint.order.clear()
     prefetcher.submit(ready_for("hold#0", "/hold"))
     prefetcher.submit(ready_for("a#0", "/a"))
     prefetcher.submit(ready_for("b#0", "/b"))
-    prefetcher.avg_response_time["b#0"] = 5.0
+    cache.record_hit("b#0")
     sim.run()
     assert endpoint.order == ["/hold", "/b", "/a"]
     # b's outdated (pre-rise) head entry was never popped: it is the
@@ -134,23 +144,32 @@ def test_priority_drop_while_queued_discards_stale_head():
     # heap top; the pop must recognize it as stale and fall through to
     # the demoted fresh entry
     sim, endpoint, cache, prefetcher = make_prefetcher(lazy_drain=True)
-    prefetcher.avg_response_time["a#0"] = 5.0
-    prefetcher.avg_response_time["c#0"] = 1.0
-    prefetcher.submit(ready_for("hold#0", "/hold"))
+    issue(sim, prefetcher, "a#0")
+    cache.record_hit("a#0")  # yield 1/1
+    issue(sim, prefetcher, "c#0", 4)
+    for _ in range(3):
+        cache.record_hit("c#0")  # yield 3/4
+    endpoint.order.clear()
+    # a's own in-flight fetch holds the slot; its completion demotes a
+    # to yield 1/2, below c
+    prefetcher.submit(ready_for("a#0", "/hold"))
     prefetcher.submit(ready_for("a#0", "/a"))
     prefetcher.submit(ready_for("c#0", "/c"))
-    prefetcher.avg_response_time["a#0"] = 0.0  # demote a below c
     sim.run()
     assert endpoint.order == ["/hold", "/c", "/a"]
     assert prefetcher.stale_heap_entries > 0
 
 
 def test_hit_rate_update_bumps_epoch():
+    # hits move the yield and bump the epoch; misses do not enter the
+    # yield, so they leave the queued head entry alone
     sim, endpoint, cache, prefetcher = make_prefetcher(lazy_drain=True)
     prefetcher.submit(ready_for("hold#0", "/hold"))
     prefetcher.submit(ready_for("a#0", "/a"))
     epoch_before = prefetcher._site_epoch.get("a#0", 0)
     cache.record_miss("a#0")
+    assert prefetcher._site_epoch.get("a#0", 0) == epoch_before
+    cache.record_hit("a#0")
     assert prefetcher._site_epoch["a#0"] == epoch_before + 1
     sim.run()
     assert endpoint.order == ["/hold", "/a"]

@@ -68,6 +68,14 @@ def ready_for(site, path, user="u1", depth=1):
     return ReadyPrefetch(instance, request)
 
 
+def issue(sim, prefetcher, site, count=1):
+    """Complete ``count`` prefetches for ``site``: its yield's denominator."""
+    stem = site.split("#")[0]
+    for i in range(count):
+        prefetcher.submit(ready_for(site, "/{}-issued{}".format(stem, i)))
+    sim.run()
+
+
 def test_fetch_populates_cache():
     sim, endpoint, cache, config, prefetcher = make_environment()
     prefetcher.submit(ready_for("a#0", "/a"))
@@ -159,26 +167,47 @@ def test_error_responses_not_cached():
 
 def test_priority_orders_waiting_queue():
     sim, endpoint, cache, config, prefetcher = make_environment(max_concurrent=1)
-    # teach the scheduler that site "slow#0" takes long to complete
-    prefetcher.avg_response_time["slow#0"] = 1.0
-    prefetcher.avg_response_time["fast#0"] = 0.001
+    # teach the scheduler that "used#0" prefetches get used by clients
+    # and "unused#0" ones do not
+    issue(sim, prefetcher, "used#0", 2)
+    issue(sim, prefetcher, "unused#0", 2)
+    cache.record_hit("used#0")
+    endpoint.order.clear()
     prefetcher.submit(ready_for("x#0", "/first"))  # occupies the slot
-    prefetcher.submit(ready_for("fast#0", "/fast"))
-    prefetcher.submit(ready_for("slow#0", "/slow"))
+    prefetcher.submit(ready_for("unused#0", "/unused"))
+    prefetcher.submit(ready_for("used#0", "/used"))
     sim.run()
-    # the slow-origin signature jumped the fast one in the queue (§5)
-    assert endpoint.order == ["/first", "/slow", "/fast"]
+    # the higher-yield signature jumped the other one in the queue (§5)
+    assert endpoint.order == ["/first", "/used", "/unused"]
 
 
 def test_fifo_when_priority_disabled():
     sim, endpoint, cache, config, prefetcher = make_environment(max_concurrent=1)
     prefetcher.priority_enabled = False
-    prefetcher.avg_response_time["slow#0"] = 1.0
+    issue(sim, prefetcher, "used#0")
+    cache.record_hit("used#0")
+    endpoint.order.clear()
     prefetcher.submit(ready_for("x#0", "/first"))
-    prefetcher.submit(ready_for("fast#0", "/fast"))
-    prefetcher.submit(ready_for("slow#0", "/slow"))
+    prefetcher.submit(ready_for("unused#0", "/unused"))
+    prefetcher.submit(ready_for("used#0", "/used"))
     sim.run()
-    assert endpoint.order == ["/first", "/fast", "/slow"]
+    assert endpoint.order == ["/first", "/unused", "/used"]
+
+
+def test_yield_beats_slow_zero_hit_signature():
+    # a slow origin whose prefetches are never used must not starve a
+    # signature whose prefetches are: the slot goes where hits come from
+    sim, endpoint, cache, config, prefetcher = make_environment(max_concurrent=1)
+    issue(sim, prefetcher, "slow#0", 4)
+    prefetcher.avg_response_time["slow#0"] = 1.0
+    issue(sim, prefetcher, "hot#0", 2)
+    cache.record_hit("hot#0")
+    endpoint.order.clear()
+    prefetcher.submit(ready_for("x#0", "/first"))  # occupies the slot
+    prefetcher.submit(ready_for("slow#0", "/slow"))
+    prefetcher.submit(ready_for("hot#0", "/hot"))
+    sim.run()
+    assert endpoint.order == ["/first", "/hot", "/slow"]
 
 
 def test_concurrency_limit_respected():
@@ -210,17 +239,20 @@ def test_add_header_only_on_wire_copy():
 
 
 def test_drain_reranks_from_current_priorities():
-    # enqueue three sites while all priorities are equal (no samples
-    # yet), then move the running averages before anything drains: the
-    # queue must drain in *today's* order, not the enqueue-time order
+    # enqueue three sites while all priorities are equal (issued, never
+    # hit), then record hits before anything drains: the queue must
+    # drain in *today's* order, not the enqueue-time order
     sim, endpoint, cache, config, prefetcher = make_environment(max_concurrent=1)
+    for site in ("a#0", "b#0", "c#0"):
+        issue(sim, prefetcher, site, 4)
+    endpoint.order.clear()
     prefetcher.submit(ready_for("hold#0", "/hold"))  # occupies the slot
     prefetcher.submit(ready_for("a#0", "/a"))
     prefetcher.submit(ready_for("b#0", "/b"))
     prefetcher.submit(ready_for("c#0", "/c"))
-    prefetcher.avg_response_time["c#0"] = 1.0
-    prefetcher.avg_response_time["b#0"] = 0.5
-    prefetcher.avg_response_time["a#0"] = 0.1
+    for site, hits in (("c#0", 4), ("b#0", 2), ("a#0", 1)):
+        for _ in range(hits):
+            cache.record_hit(site)
     sim.run()
     assert endpoint.order == ["/hold", "/c", "/b", "/a"]
 
@@ -232,6 +264,20 @@ def test_drain_rerank_keeps_fifo_ties():
         prefetcher.submit(ready_for("tie#0", "/t{}".format(i)))
     sim.run()
     assert endpoint.order == ["/hold", "/t0", "/t1", "/t2", "/t3"]
+
+
+def test_queue_wait_summed_per_site():
+    sim, endpoint, cache, config, prefetcher = make_environment(max_concurrent=1)
+    prefetcher.submit(ready_for("hold#0", "/hold"))
+    prefetcher.submit(ready_for("q#0", "/q0"))
+    prefetcher.submit(ready_for("q#0", "/q1"))
+    sim.run()
+    assert prefetcher.queue_wait_by_site["hold#0"] == 0.0
+    # /q0 waits one fetch, /q1 two: about three fetch times in total
+    fetch_time = prefetcher.avg_response_time["q#0"]
+    assert prefetcher.queue_wait_by_site["q#0"] == pytest.approx(
+        3 * fetch_time, rel=1e-3
+    )
 
 
 def test_queue_peak_perf_counter():
