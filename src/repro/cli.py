@@ -649,22 +649,30 @@ def _command_stats(args) -> int:
             )
     if summary.get("prefetch_by_signature"):
         # yield (hits per issued prefetch) is the §5 queue priority; a
-        # signature starved by the queue shows a long mean wait
+        # signature starved by the queue shows a long mean wait.
+        # Admission judges "adm yield", served over resolved (served +
+        # wasted); unresolved prefetches are not evidence yet
         print("per-signature prefetch efficacy:")
         print(
-            "  {:<42} {:>7} {:>7} {:>7} {:>7} {:>12}".format(
-                "signature", "issued", "hits", "wasted", "yield", "mean wait ms"
+            "  {:<42} {:>7} {:>7} {:>7} {:>7} {:>10} {:>9} {:>7} {:>12}".format(
+                "signature", "issued", "hits", "served", "wasted",
+                "unresolved", "adm yield", "yield", "mean wait ms",
             )
         )
         for signature in sorted(summary["prefetch_by_signature"]):
             row = summary["prefetch_by_signature"][signature]
             issued = row.get("issued", 0)
+            served = row.get("served", 0)
+            resolved = served + row.get("wasted", 0)
             print(
-                "  {:<42} {:>7} {:>7} {:>7} {:>7.2f} {:>12.1f}".format(
+                "  {:<42} {:>7} {:>7} {:>7} {:>7} {:>10} {:>9} {:>7.2f} {:>12.1f}".format(
                     signature,
                     issued,
                     row.get("hits", 0),
+                    served,
                     row.get("wasted", 0),
+                    row.get("unresolved", 0),
+                    "{:.2f}".format(served / resolved) if resolved else "-",
                     row.get("hits", 0) / issued if issued else 0.0,
                     row.get("queue_wait_ms", 0) / issued if issued else 0.0,
                 )
@@ -944,8 +952,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     scale.add_argument(
         "--admission-threshold", type=float, default=None, metavar="PROB",
-        help="stop prefetching signatures whose observed hit probability "
-             "falls below PROB (hit-aware admission, §4.4)",
+        help="hit-aware admission (§4.4): stop prefetching a signature "
+             "once fewer than PROB of its resolved prefetches (served, or "
+             "evicted/expired/overwritten unserved) served a hit "
+             "(default: 0.05; 0 turns the gate off)",
     )
     scale.add_argument(
         "--estimate-expiration", action="store_true",

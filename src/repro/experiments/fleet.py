@@ -995,7 +995,9 @@ def _aggregate(
         "max_bytes": deploy_kwargs["max_bytes"],
         "max_entries_total": deploy_kwargs["max_entries_total"],
         "adaptive_budget": deploy_kwargs["adaptive_budget"],
-        "admission_threshold": deploy_kwargs["admission_threshold"],
+        # the shards' rows carry the effective threshold (None keeps
+        # the config default)
+        "admission_threshold": rows[0]["admission_threshold"],
         "strategy": deploy_kwargs["strategy"],
         "learn_mode": deploy_kwargs["learn_mode"],
         "learn_queue_overflows": total("learn_queue_overflows"),

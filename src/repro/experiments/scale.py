@@ -68,6 +68,7 @@ from repro.netsim.link import Link
 from repro.netsim.sim import Delay, Simulator
 from repro.netsim.transport import DirectTransport, OriginMap
 from repro.proxy.cache import PrefetchCache
+from repro.proxy.config import DEFAULT_ADMISSION_THRESHOLD
 from repro.proxy.expiration import ExpirationEstimator
 from repro.proxy.history import HistoryPrefetcher
 from repro.proxy.learning import LEARN_MODES
@@ -261,6 +262,7 @@ class _ScaleDeployment:
             proxy = AccelerationProxy(
                 self.sim, app_origins, analysis, cache=cache, learn_mode=learn_mode
             )
+            # None keeps the config's default gate; 0.0 turns it off
             if admission_threshold is not None:
                 proxy.config.admission_threshold = admission_threshold
             # deferred-learn knobs: a forced-small queue capacity is the
@@ -774,9 +776,13 @@ def run_scale(
     requests = state["completed"]
     answered = served + forwarded
 
-    # per-signature prefetch efficacy: issued / hits / wasted and the
-    # total queue wait, merged across apps — the audit table behind
-    # admission decisions and the §5 queue order
+    # per-signature prefetch efficacy, merged across apps — the audit
+    # table behind admission decisions and the §5 queue order.  Every
+    # issued prefetch is accounted for: its entry served a hit
+    # (``served``, once per entry), left the cache unserved
+    # (``wasted``), or is ``unresolved`` (still cached unserved, or
+    # never stored because the origin failed it); ``hits`` counts
+    # every hit, so an entry hit twice counts twice there
     by_signature: Dict[str, Dict[str, int]] = {}
 
     def _signature_cell(site: str) -> Dict[str, int]:
@@ -785,7 +791,9 @@ def run_scale(
             cell = by_signature[site] = {
                 "issued": 0,
                 "hits": 0,
+                "served": 0,
                 "wasted": 0,
+                "unresolved": 0,
                 "queue_wait_ms": 0,
             }
         return cell
@@ -797,10 +805,15 @@ def run_scale(
             _signature_cell(site)["queue_wait_ms"] += int(round(1000 * seconds))
         for site, count in proxy.cache.hits.items():
             _signature_cell(site)["hits"] += count
+        for site, count in proxy.cache.served_by_site.items():
+            _signature_cell(site)["served"] += count
         for site, count in proxy.cache.wasted_by_site.items():
             _signature_cell(site)["wasted"] += count
     for history in deployment.history.values():
-        _signature_cell("(history)")["issued"] += history.issued
+        for site, count in history.issued_by_site.items():
+            _signature_cell(site)["issued"] += count
+    for cell in by_signature.values():
+        cell["unresolved"] = cell["issued"] - cell["served"] - cell["wasted"]
 
     if tracing:
         TRACER.append_record(
@@ -846,7 +859,11 @@ def run_scale(
         "max_bytes": max_bytes,
         "max_entries_total": max_entries_total,
         "adaptive_budget": adaptive_budget,
-        "admission_threshold": admission_threshold,
+        "admission_threshold": (
+            DEFAULT_ADMISSION_THRESHOLD
+            if admission_threshold is None
+            else admission_threshold
+        ),
         "strategy": strategy,
         "learn_mode": learn_mode,
         "learn_queue_overflows": sum(

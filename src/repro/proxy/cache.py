@@ -37,7 +37,10 @@ prefetched entries get consumed keep larger shards; users that only
 ever fill and evict stop stealing space from them.  Entries evicted
 expired, or overwritten *before their first hit* are counted as
 ``wasted`` (per-site in ``wasted_by_site``) — the signal offline
-audits and the live telemetry windows run on.
+audits and the live telemetry windows run on.  Entries that served at
+least one hit are counted once each in ``served_by_site``; served and
+wasted together are a signature's *resolved* prefetches, the evidence
+hit-aware admission judges it on.
 """
 
 from __future__ import annotations
@@ -120,6 +123,8 @@ class PrefetchCache:
         #: signal
         self.wasted = 0
         self.wasted_by_site: Dict[str, int] = {}
+        #: entries that served at least one hit, counted once each
+        self.served_by_site: Dict[str, int] = {}
         #: rotating per-user hit-count windows (adaptive budgets): two
         #: epochs of ``hit_mass_window`` seconds; mass = cur + prev
         self._mass_epoch = 0
@@ -253,6 +258,12 @@ class PrefetchCache:
             PERF.registry.inc(
                 "prefetch_wasted", labels={"signature": entry.site}
             )
+
+    def mark_served(self, entry: CacheEntry) -> None:
+        """Flag ``entry`` as served; its first hit resolves it."""
+        if not entry.served:
+            entry.served = True
+            self.served_by_site[entry.site] = self.served_by_site.get(entry.site, 0) + 1
 
     def _evict(self, user: str, exact: str, entry: CacheEntry) -> None:
         shard = self._shards.get(user)

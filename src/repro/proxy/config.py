@@ -16,10 +16,12 @@ from repro.analysis.model import AnalysisResult
 
 DEFAULT_EXPIRATION = 600.0  # seconds
 DEFAULT_CHAIN_DEPTH = 2
-#: observed-hit-probability admission defaults (§4.4 extension): a
-#: signature needs this many completed prefetches before its observed
-#: hit probability is trusted, and a below-threshold signature is
-#: still re-tried with this probability so it can recover
+#: hit-aware admission defaults (§4.4 extension): a signature whose
+#: resolved prefetches serve hits less often than the threshold stops
+#: prefetching; it needs this many resolved prefetches before its
+#: yield is trusted, and a below-threshold signature is still re-tried
+#: with the explore probability so it can recover
+DEFAULT_ADMISSION_THRESHOLD = 0.05
 DEFAULT_ADMISSION_MIN_ISSUED = 20
 DEFAULT_ADMISSION_EXPLORE = 0.1
 
@@ -95,8 +97,9 @@ class SignaturePolicy:
         #: §6.3 extension: restrict prefetching to the K most popular
         #: items of this signature (None = no restriction)
         self.popularity_top_k = popularity_top_k
-        #: observed-hit-probability admission floor for this signature;
-        #: ``None`` defers to the config-level ``admission_threshold``
+        #: hit-aware admission floor for this signature (served over
+        #: resolved prefetches); ``None`` defers to the config-level
+        #: ``admission_threshold``
         self.min_hit_probability = min_hit_probability
 
     def to_dict(self) -> Dict:
@@ -148,7 +151,7 @@ class ProxyConfig:
         data_budget_bytes: Optional[int] = None,
         max_chain_depth: int = DEFAULT_CHAIN_DEPTH,
         default_expiration: float = DEFAULT_EXPIRATION,
-        admission_threshold: Optional[float] = None,
+        admission_threshold: Optional[float] = DEFAULT_ADMISSION_THRESHOLD,
         admission_min_issued: int = DEFAULT_ADMISSION_MIN_ISSUED,
         admission_explore: float = DEFAULT_ADMISSION_EXPLORE,
     ) -> None:
@@ -162,11 +165,14 @@ class ProxyConfig:
         self.data_budget_bytes = data_budget_bytes
         self.max_chain_depth = max_chain_depth
         self.default_expiration = default_expiration
-        #: observed-hit-probability admission: signatures whose measured
-        #: hits/issued falls below this are no longer prefetched (None
+        #: hit-aware admission: signatures whose resolved prefetches
+        #: (served, or evicted/expired/overwritten unserved) serve hits
+        #: less often than this are no longer prefetched (0.0 or None
         #: disables the gate); per-policy ``min_hit_probability``
         #: overrides it for one signature
         self.admission_threshold = admission_threshold
+        #: resolved prefetches a signature needs before its yield is
+        #: trusted; below this it is always admitted
         self.admission_min_issued = admission_min_issued
         self.admission_explore = admission_explore
 
@@ -186,7 +192,7 @@ class ProxyConfig:
         return self.policy(site).probability * self.global_probability
 
     def admission_threshold_for(self, site: str) -> Optional[float]:
-        """The hit-probability floor governing ``site`` (None = no gate)."""
+        """The yield floor governing ``site`` (None or 0.0 = no gate)."""
         override = self.policy(site).min_hit_probability
         return override if override is not None else self.admission_threshold
 
@@ -221,7 +227,9 @@ class ProxyConfig:
             data_budget_bytes=data.get("data_budget_bytes"),
             max_chain_depth=int(data.get("max_chain_depth", DEFAULT_CHAIN_DEPTH)),
             default_expiration=float(data.get("default_expiration", DEFAULT_EXPIRATION)),
-            admission_threshold=data.get("admission_threshold"),
+            admission_threshold=data.get(
+                "admission_threshold", DEFAULT_ADMISSION_THRESHOLD
+            ),
             admission_min_issued=int(
                 data.get("admission_min_issued", DEFAULT_ADMISSION_MIN_ISSUED)
             ),

@@ -61,6 +61,8 @@ class HistoryPrefetcher:
         self._requests: Dict[str, Request] = {}
         self._inflight = 0
         self.issued = 0
+        #: issued prefetches per ``site_for`` label
+        self.issued_by_site: Dict[str, int] = {}
         self.skipped_concurrency = 0
         self.skipped_duplicate = 0
         self.errors = 0
@@ -112,6 +114,8 @@ class HistoryPrefetcher:
                 origin_fetch(self.sim, self.origins, request, user)
             )
             self.issued += 1
+            site = self._site(request)
+            self.issued_by_site[site] = self.issued_by_site.get(site, 0) + 1
             if PERF.enabled:
                 PERF.incr("history.issued")
             if response.ok:
@@ -119,7 +123,7 @@ class HistoryPrefetcher:
                     user,
                     request,
                     response,
-                    self._site(request),
+                    site,
                     now=self.sim.now,
                     ttl=self.ttl,
                 )

@@ -208,28 +208,39 @@ class Prefetcher:
         return "queued"
 
     def _admitted(self, site: str) -> bool:
-        """Hit-rate-aware admission: does ``site`` still earn prefetches?
+        """Hit-aware admission: does ``site`` still earn prefetches?
 
-        Observed hit probability is cache hits over prefetches issued
-        for the signature.  Below the governing threshold
-        (per-policy ``min_hit_probability`` or the config-wide
-        ``admission_threshold``) the signature stops prefetching —
+        A signature is judged on its *resolved* prefetches only: stored
+        entries that served a hit (``served_by_site``, once per entry)
+        or left the cache unserved (``wasted_by_site``: evicted,
+        expired or overwritten).  Its yield is served over resolved.
+        Judging on issued count instead would read a useful signature
+        as cold, because its hits lag its issues by the user's think
+        time.  Below the governing threshold (per-policy
+        ``min_hit_probability`` or the config-wide
+        ``admission_threshold``) the signature stops prefetching,
         except for an ``admission_explore`` fraction kept flowing so a
-        recovered signature can re-earn admission.  Signatures with
-        fewer than ``admission_min_issued`` completed prefetches are
-        always admitted (no evidence yet).
+        recovered signature can re-earn admission.  Until
+        ``admission_min_issued`` outcomes have resolved the signature
+        is admitted (no evidence yet).
         """
         threshold = self.config.admission_threshold_for(site)
-        if threshold is None or threshold <= 0.0:
+        if not threshold:
             return True
-        if self.issued_by_site.get(site, 0) < self.config.admission_min_issued:
+        served = self.cache.served_by_site.get(site, 0)
+        resolved = served + self.cache.wasted_by_site.get(site, 0)
+        if resolved < self.config.admission_min_issued:
             return True
-        if self._yield(site) >= threshold:
+        if served / resolved >= threshold:
             return True
         return self.rng.random() < self.config.admission_explore
 
     def _yield(self, site: str) -> float:
-        """Cache hits per prefetch issued for ``site``; 0 before any issue."""
+        """Cache hits per prefetch issued for ``site``; 0 before any issue.
+
+        The §5 queue priority.  Admission does not use it (see
+        :meth:`_admitted`).
+        """
         issued = self.issued_by_site.get(site, 0)
         return self.cache.hits.get(site, 0) / issued if issued else 0.0
 

@@ -114,7 +114,7 @@ class AccelerationProxy:
             if span is not None:
                 trace.end_span(span, outcome="hit", signature=site or "", shard=user)
             yield Delay(PROXY_PROCESSING)
-            entry.served = True
+            self.cache.mark_served(entry)
             self.served_prefetched += 1
             if site:
                 self.cache.record_hit(site)

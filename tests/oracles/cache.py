@@ -26,6 +26,7 @@ class FlatPrefetchCache:
         self.stored = 0
         self.wasted = 0
         self.wasted_by_site: Dict[str, int] = {}
+        self.served_by_site: Dict[str, int] = {}
         self._hit_listeners: List[Callable[[str], None]] = []
 
     def add_hit_listener(self, listener: Callable[[str], None]) -> None:
@@ -52,6 +53,11 @@ class FlatPrefetchCache:
             return
         self.wasted += 1
         self.wasted_by_site[entry.site] = self.wasted_by_site.get(entry.site, 0) + 1
+
+    def mark_served(self, entry: CacheEntry) -> None:
+        if not entry.served:
+            entry.served = True
+            self.served_by_site[entry.site] = self.served_by_site.get(entry.site, 0) + 1
 
     def lookup(
         self, user: str, request: Request, now: float

@@ -199,6 +199,7 @@ def test_stats_prints_yield_and_mean_queue_wait(tmp_path, capsys):
     code, out = run_cli(capsys, "stats", str(trace_path), "--json", str(json_path))
     assert code == 0
     assert "yield" in out and "mean wait ms" in out
+    assert "unresolved" in out and "adm yield" in out
     table = json.loads(json_path.read_text())["prefetch_by_signature"]
     assert table
     assert sum(cell["queue_wait_ms"] for cell in table.values()) > 0
@@ -209,6 +210,12 @@ def test_stats_prints_yield_and_mean_queue_wait(tmp_path, capsys):
         assert line.split()[-2:] == [
             "{:.2f}".format(cell["hits"] / issued),
             "{:.1f}".format(cell["queue_wait_ms"] / issued),
+        ]
+        # every issued prefetch is served, wasted or still unresolved
+        assert cell["unresolved"] == issued - cell["served"] - cell["wasted"]
+        assert cell["unresolved"] >= 0
+        assert line.split()[-6:-3] == [
+            str(cell["served"]), str(cell["wasted"]), str(cell["unresolved"])
         ]
 
 

@@ -329,7 +329,12 @@ def test_fleet_heartbeats_fold_back_mid_run():
 
 
 def test_fleet_one_worker_telemetry_matches_multiworker_merge():
-    kwargs = dict(users=24, duration=4.0, seed=11, max_entries_per_user=16)
+    # admission off: with the gate on, each shard learns yields from its
+    # own users, so what gets prefetched depends on the sharding
+    kwargs = dict(
+        users=24, duration=4.0, seed=11, max_entries_per_user=16,
+        admission_threshold=0.0,
+    )
     one = run_fleet(workers=1, telemetry=True, **kwargs)
     two = run_fleet(
         workers=2, telemetry=True, worker_timeout=120.0, **kwargs
@@ -337,6 +342,25 @@ def test_fleet_one_worker_telemetry_matches_multiworker_merge():
     # sharding changes where a user is served, never when: the merged
     # rolling windows must agree with the single-process plane
     for key in ("requests", "hit_rate", "overflow", "wasted"):
+        assert two["live"]["readings"][key] == one["live"]["readings"][key]
+
+
+def test_fleet_admission_on_windows_match_shard_totals():
+    kwargs = dict(users=24, duration=4.0, seed=11, max_entries_per_user=16)
+    one = run_fleet(workers=1, telemetry=True, **kwargs)
+    two = run_fleet(
+        workers=2, telemetry=True, worker_timeout=120.0, **kwargs
+    )
+    for run in (one, two):
+        # the gate acted, and the merged windows account for exactly
+        # what this run's shards did
+        assert run["skipped_admission"] > 0
+        readings = run["live"]["readings"]
+        assert readings["requests"] == sum(run["fleet"]["shard_requests"])
+        assert readings["wasted"] == run["prefetch_wasted"]
+        assert readings["overflow"] == run["learn_queue_overflows"]
+    # what reaches the proxy does not depend on the sharding
+    for key in ("requests", "overflow"):
         assert two["live"]["readings"][key] == one["live"]["readings"][key]
 
 

@@ -191,10 +191,18 @@ def test_admission_threshold_cuts_prefetch_volume():
         users=6, duration=10.0, rate_per_user=1.0, seed=3, apps=("wish",),
         warm_start=True,
     )
-    open_gate = run_scale(strategy="appx", **kwargs)
-    gated = run_scale(strategy="appx", admission_threshold=0.2, **kwargs)
+    # the gate judges resolved prefetches only; a per-user bound makes
+    # the Wish fan-out evict unserved entries, so outcomes resolve
+    bounded = dict(kwargs, max_entries_per_user=32)
+    open_gate = run_scale(strategy="appx", admission_threshold=0.0, **bounded)
+    gated = run_scale(strategy="appx", admission_threshold=0.2, **bounded)
     assert gated["skipped_admission"] > 0
     assert gated["prefetch_issued"] < open_gate["prefetch_issued"]
+    # unbounded, no entry leaves the cache unserved within 10 s: no
+    # evidence against any signature, so the gate admits everything
+    unbounded = run_scale(strategy="appx", admission_threshold=0.2, **kwargs)
+    assert unbounded["prefetch_wasted"] == 0
+    assert unbounded["skipped_admission"] == 0
 
 
 def test_run_strategy_comparison_reports_deltas():

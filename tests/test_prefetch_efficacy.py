@@ -3,6 +3,7 @@ the wasted-prefetch counter, adaptive per-user budgets, and the
 history-based baseline strategy.
 """
 
+import itertools
 import random
 
 import pytest
@@ -14,7 +15,7 @@ from repro.netsim.link import Link
 from repro.netsim.sim import Delay, Simulator
 from repro.netsim.transport import OriginMap
 from repro.proxy.cache import PrefetchCache
-from repro.proxy.config import ProxyConfig
+from repro.proxy.config import DEFAULT_ADMISSION_THRESHOLD, ProxyConfig
 from repro.proxy.history import HistoryPrefetcher
 from repro.proxy.prefetcher import Prefetcher
 from repro.server.origin import OriginServer
@@ -33,45 +34,75 @@ def make_response(payload):
 
 
 # ----------------------------------------------------------------------
-# hit-aware admission (§4.4 threshold on *observed* hit probability)
+# hit-aware admission (§4.4 threshold on the yield of *resolved*
+# prefetches: served ÷ (served + wasted))
 # ----------------------------------------------------------------------
-def build_prefetcher(threshold=0.3, min_issued=5, explore=0.0):
+OTHER = "Feed.load#2"
+_paths = itertools.count()
+
+
+def build_prefetcher(threshold=0.3, min_issued=5, explore=0.0, cache=None):
     sim = Simulator()
     config = ProxyConfig(
         admission_threshold=threshold,
         admission_min_issued=min_issued,
         admission_explore=explore,
     )
-    cache = PrefetchCache()
+    cache = cache if cache is not None else PrefetchCache()
     prefetcher = Prefetcher(sim, OriginMap(), cache, config, learner=None)
     return prefetcher, cache
 
 
+def store(cache, count, site=SITE, user="u0", ttl=60.0):
+    """Store ``count`` fresh prefetched entries; return their requests."""
+    requests = []
+    for _ in range(count):
+        request = make_request("/e{}".format(next(_paths)))
+        cache.put(user, request, make_response({"site": site}), site, now=0.0, ttl=ttl)
+        requests.append(request)
+    return requests
+
+
+def serve(cache, count, site=SITE, hits_each=1):
+    """Resolve ``count`` entries of ``site`` as served, the way the
+    proxy does: look the entry up, mark it served, record the hit."""
+    for _ in range(count):
+        [request] = store(cache, 1, site, user="served")
+        for _ in range(hits_each):
+            cache.mark_served(cache.get("served", request, 0.5))
+            cache.record_hit(site)
+
+
+def waste(cache, count, site=SITE):
+    """Resolve ``count`` entries of ``site`` as wasted: they expire unserved."""
+    store(cache, count, site, user="wasted", ttl=1.0)
+    cache.purge_expired(10.0)
+
+
 def test_admission_allows_during_warmup():
-    prefetcher, _ = build_prefetcher(min_issued=5)
-    prefetcher.issued_by_site[SITE] = 4  # below warmup
+    prefetcher, cache = build_prefetcher(min_issued=5)
+    waste(cache, 4)  # below warmup: 4 resolved, none served
     assert prefetcher._admitted(SITE)
 
 
 def test_admission_blocks_cold_signatures():
     prefetcher, cache = build_prefetcher(threshold=0.3, explore=0.0)
-    prefetcher.issued_by_site[SITE] = 10
-    cache.hits[SITE] = 1  # observed probability 0.1 < 0.3
+    serve(cache, 1)
+    waste(cache, 9)  # resolved yield 0.1 < 0.3
     assert not prefetcher._admitted(SITE)
 
 
 def test_admission_passes_hot_signatures():
     prefetcher, cache = build_prefetcher(threshold=0.3)
-    prefetcher.issued_by_site[SITE] = 10
-    cache.hits[SITE] = 4  # 0.4 >= 0.3
+    serve(cache, 4)
+    waste(cache, 6)  # 0.4 >= 0.3
     assert prefetcher._admitted(SITE)
 
 
 def test_admission_explores_blocked_signatures():
     prefetcher, cache = build_prefetcher(threshold=0.3, explore=0.5)
     prefetcher.rng = random.Random(7)
-    prefetcher.issued_by_site[SITE] = 100
-    cache.hits[SITE] = 0
+    waste(cache, 100)
     admitted = sum(prefetcher._admitted(SITE) for _ in range(400))
     # the explore coin re-admits roughly its configured fraction
     assert 120 < admitted < 280
@@ -80,16 +111,54 @@ def test_admission_explores_blocked_signatures():
 def test_admission_per_signature_override_beats_global():
     prefetcher, cache = build_prefetcher(threshold=0.9, explore=0.0)
     prefetcher.config.policy(SITE).min_hit_probability = 0.05
-    prefetcher.issued_by_site[SITE] = 10
-    cache.hits[SITE] = 1  # 0.1 >= the per-policy 0.05, < the global 0.9
+    serve(cache, 1)
+    waste(cache, 9)  # 0.1 >= the per-policy 0.05, < the global 0.9
     assert prefetcher._admitted(SITE)
 
 
 def test_admission_disabled_when_no_threshold():
-    prefetcher, cache = build_prefetcher(threshold=None)
-    prefetcher.issued_by_site[SITE] = 1000
-    cache.hits[SITE] = 0
+    for threshold in (None, 0.0):
+        prefetcher, cache = build_prefetcher(threshold=threshold)
+        waste(cache, 1000)
+        assert prefetcher._admitted(SITE)
+
+
+def test_admission_is_on_by_default():
+    assert ProxyConfig().admission_threshold == DEFAULT_ADMISSION_THRESHOLD > 0.0
+    assert ProxyConfig.from_json("{}").admission_threshold == (
+        DEFAULT_ADMISSION_THRESHOLD
+    )
+
+
+def test_admission_admits_issued_but_unresolved_prefetches():
+    # 100 issued, no hit yet: judged on issued count this read 0.0 and
+    # blocked; the entries are still in the cache, so nothing resolved
+    prefetcher, cache = build_prefetcher(threshold=0.3, explore=0.0)
+    prefetcher.issued_by_site[SITE] = 100
+    store(cache, 100)
     assert prefetcher._admitted(SITE)
+
+
+def test_admission_counts_an_entry_hit_several_times_once():
+    prefetcher, cache = build_prefetcher(threshold=0.3, explore=0.0)
+    serve(cache, 1, hits_each=5)
+    waste(cache, 4)
+    assert cache.hits[SITE] == 5
+    assert cache.served_by_site[SITE] == 1
+    # 1 served of 5 resolved is 0.2 < 0.3 (5 hits over 9 would pass)
+    assert not prefetcher._admitted(SITE)
+
+
+def test_admission_counts_an_evicted_unserved_entry_against_its_site():
+    cache = PrefetchCache(max_entries_per_user=1)
+    prefetcher, _ = build_prefetcher(
+        threshold=0.3, min_issued=4, explore=0.0, cache=cache
+    )
+    serve(cache, 4, site=OTHER)
+    store(cache, 5)  # each put evicts the user's previous, unserved entry
+    assert cache.wasted_by_site == {SITE: 4}
+    assert not prefetcher._admitted(SITE)
+    assert prefetcher._admitted(OTHER)
 
 
 # ----------------------------------------------------------------------
