@@ -23,7 +23,8 @@ from repro.analysis.model import AltAtom, ConstAtom
 from repro.apps import all_apps
 from repro.httpmsg.message import Request
 from repro.httpmsg.uri import Uri
-from repro.metrics.perf import PERF
+from repro.metrics.catalog import STAGE_SECONDS
+from repro.metrics.perf import PERF, stage
 from repro.proxy.instances import (
     RuntimeSignature,
     SignatureMatcher,
@@ -131,12 +132,13 @@ def _run_pass(
     """Dispatch every request through ``match`` (one matcher path)."""
     outcomes: List[Optional[str]] = []
     with PERF.capture():
-        with PERF.stage("pass"):
+        with stage(None, "pass"):
             for request in requests:
                 found = match(request)
                 outcomes.append(found.site if found else None)
-        snapshot = PERF.snapshot()
-    return outcomes, snapshot["counters"], snapshot["timings_s"]["pass"]
+        seconds = PERF.registry.histogram(STAGE_SECONDS, {"stage": "pass"}).sum
+        counters = dict(PERF.counters)
+    return outcomes, counters, seconds
 
 
 def run_matching_bench(

@@ -23,10 +23,10 @@ re-running analysis + verification fuzzing.
 Perf accounting
 ---------------
 Each cell can return a :data:`PERF` snapshot taken inside the worker;
-the engine folds worker counters, stage timings, and histograms into
-the parent's :data:`PERF` (when enabled) under the same names, plus
-``experiments.cells`` / ``experiments.parallel_cells`` on the engine
-itself.
+the engine folds worker counters and histograms (stage timers among
+them) into the parent's :data:`PERF` (when enabled) under the same
+names, plus ``experiments.cells`` / ``experiments.parallel_cells`` on
+the engine itself.
 
 Break-even fallback
 -------------------
@@ -171,9 +171,9 @@ _worker_init = init_worker_env
 def execute_cell(unit: WorkUnit) -> Tuple[Any, Optional[Dict[str, Any]]]:
     """Run one work unit (in a pool worker or inline).
 
-    The perf snapshot is the full :meth:`PerfCounters.snapshot` shape
-    (counters + stage ``timings_s`` + histograms), so the parent's
-    fold-back keeps worker stage timings instead of dropping them.
+    The perf snapshot is the full registry snapshot (counters, gauges,
+    histograms), so the parent's fold-back keeps worker stage timers
+    (the ``stage_seconds`` histograms) instead of dropping them.
     """
     kind, kwargs, capture = unit
     function = _CELL_FUNCTIONS[kind]

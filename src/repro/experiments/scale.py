@@ -415,7 +415,7 @@ def build_arrival_schedule(
 def stage_latency_from_registry(registry) -> Dict[str, Dict[str, float]]:
     """Per-stage latency table out of a registry's histograms.
 
-    ``stage_seconds{stage=...}`` (fed by ``PERF.stage``) reports under
+    ``stage_seconds{stage=...}`` (fed by ``stage()`` timers) reports under
     the bare stage name; sampled trace spans
     (``span_wall_seconds{stage=...}``) under a ``span:`` prefix.
     Shared by the serial harness row and the fleet supervisor, which
@@ -753,8 +753,8 @@ def run_scale(
         # exported below, after the per-signature summary record is
         # appended to the ring (so offline audits see it in the file)
 
-    # per-stage latency histograms out of the registry: PERF.stage
-    # feeds stage_seconds{stage=...}; sampled trace spans feed
+    # per-stage latency histograms out of the registry: stage() timers
+    # feed stage_seconds{stage=...}; sampled trace spans feed
     # span_wall_seconds{stage=...} (reported under a "span:" prefix)
     stage_latency = stage_latency_from_registry(PERF.registry)
     miss_causes = miss_causes_from_counters(PERF.counters)

@@ -1,15 +1,16 @@
-"""The metric, label, and span-name catalog: every observable series.
+"""The metric, label, stage and span-name catalog: every observable series.
 
-The registry (:mod:`repro.metrics.registry`), the PERF facade
-(:mod:`repro.metrics.perf`), and the tracer (:mod:`repro.metrics.trace`)
-all address series by *string name* — and the sharded fleet's
-supervisor fold-back (:mod:`repro.experiments.fleet`) matches those
-strings across process boundaries.  A typo'd name therefore does not
-crash; it silently forks a parallel series that no merge, no dashboard,
-and no CI gate ever looks at.  This module is the single place those
-names are declared, and ``python -m repro lint`` statically extracts
-every name used at a call site and fails on anything undeclared
-(rule family ``met-*`` in :mod:`repro.qa.rules.metrics_hygiene`).
+The registry (:mod:`repro.metrics.registry`), the PERF gate and its
+``stage()`` context (:mod:`repro.metrics.perf`), and the tracer
+(:mod:`repro.metrics.trace`) all address series by *string name* — and
+the sharded fleet's supervisor fold-back
+(:mod:`repro.experiments.fleet`) matches those strings across process
+boundaries.  A typo'd name therefore does not crash; it silently forks
+a parallel series that no merge, no dashboard, and no CI gate ever
+looks at.  This module is the single place those names are declared,
+and ``python -m repro lint`` statically extracts every name used at a
+call site and fails on anything undeclared (rule family ``met-*`` in
+:mod:`repro.qa.rules.metrics_hygiene`).
 
 Conventions
 -----------
@@ -23,8 +24,10 @@ Conventions
 * **Labeled metrics** (:data:`METRICS`) are registry series with their
   allowed label keys; label values must be bounded dimensions
   (signature site, stage, outcome), never per-request values.
-* **Stage and span names** (:data:`PERF_STAGES`, :data:`SPAN_STAGES`)
-  plus :data:`LOOKUP_OUTCOMES` / :data:`TRACE_KINDS` round out every
+* **Stages** (:data:`STAGES`) are the instrumented serving steps: each
+  declares once the trace span it opens and the ``stage_seconds``
+  timer it feeds, either of which may be absent.  :data:`SPAN_STAGES`,
+  :data:`LOOKUP_OUTCOMES` and :data:`TRACE_KINDS` round out every
   vocabulary the trace schema validates.
 
 Adding a metric is a two-line change: declare it here, then record it
@@ -56,16 +59,28 @@ class MetricSpec:
 # ======================================================================
 # trace vocabulary (the schema in repro.metrics.trace validates these)
 # ======================================================================
-#: canonical per-request span/stage names a trace span may carry
-SPAN_STAGES: Tuple[str, ...] = (
-    "match",
-    "cache_lookup",
-    "origin_fetch",
-    "learn",
-    "learn_drain",
-    "instantiate",
-    "prefetch_issue",
-    "store",
+#: every instrumented serving step: stage name -> (the trace span it
+#: opens, the ``stage_seconds{stage=...}`` timer it feeds); ``None``
+#: where the step has no span or no timer.  ``stage(trace, name)`` in
+#: :mod:`repro.metrics.perf` is the one call that records both.
+STAGES: Dict[str, Tuple[Optional[str], Optional[str]]] = {
+    "match": ("match", "proxy.dispatch"),
+    "cache_lookup": ("cache_lookup", "proxy.cache_lookup"),
+    "origin_fetch": ("origin_fetch", None),
+    "learn": ("learn", None),
+    "learn_drain": ("learn_drain", "proxy.learn_drain"),
+    "instantiate": ("instantiate", None),
+    "prefetch_issue": ("prefetch_issue", None),
+    "store": ("store", None),
+    # the request-path observe (an O(1) enqueue under deferred learning)
+    "proxy.learn": (None, "proxy.learn"),
+    # one dispatch-microbenchmark pass (repro.experiments.matching_bench)
+    "pass": (None, "pass"),
+}
+
+#: canonical per-request span names a trace span may carry
+SPAN_STAGES: Tuple[str, ...] = tuple(
+    span for span, _ in STAGES.values() if span is not None
 )
 
 #: every legal ``outcome`` tag of a ``cache_lookup`` span
@@ -83,24 +98,15 @@ LOOKUP_OUTCOMES: Tuple[str, ...] = (
 #: the miss causes reported per request class (everything but a hit)
 MISS_CAUSES: Tuple[str, ...] = tuple(o for o in LOOKUP_OUTCOMES if o != "hit")
 
-#: trace record kinds (client requests, background prefetches, §5
-#: refreshes, run-level spanless summaries, SLO burn-rate alerts)
-TRACE_KINDS: Tuple[str, ...] = ("request", "prefetch", "refresh", "summary", "alert")
-
-#: wall-clock stages accumulated by ``PERF.stage`` on the serving path
-PERF_STAGES: Tuple[str, ...] = (
-    "pass",
-    "proxy.dispatch",
-    "proxy.cache_lookup",
-    "proxy.learn",
-    "proxy.learn_drain",
-)
+#: trace record kinds (client requests, background prefetches,
+#: run-level spanless summaries, SLO burn-rate alerts)
+TRACE_KINDS: Tuple[str, ...] = ("request", "prefetch", "summary", "alert")
 
 
 # ======================================================================
 # labeled registry series
 # ======================================================================
-#: histogram of per-stage wall seconds fed by ``PERF.stage``
+#: histogram of per-stage wall seconds fed by ``stage()`` timers
 STAGE_SECONDS = "stage_seconds"
 #: histogram of sampled trace-span wall seconds fed by the tracer
 SPAN_WALL_SECONDS = "span_wall_seconds"
@@ -119,7 +125,7 @@ METRICS: Dict[str, MetricSpec] = {
     spec.name: spec
     for spec in (
         MetricSpec(STAGE_SECONDS, "histogram", ("stage",),
-                   "wall seconds per serving stage (PERF.stage)"),
+                   "wall seconds per serving stage (stage() timers)"),
         MetricSpec(SPAN_WALL_SECONDS, "histogram", ("stage",),
                    "wall seconds per sampled trace span"),
         MetricSpec(SPAN_OUTCOMES, "counter", ("stage", "outcome"),
@@ -202,7 +208,8 @@ COUNTER_PREFIXES: Dict[str, Tuple[str, ...]] = {
 # ======================================================================
 #: sliding-window histogram of served request latency (seconds)
 W_REQUEST = "proxy.request"
-#: sliding-window histogram of deferred learn-drain wall seconds
+#: sliding-window histogram of deferred learn-drain wall seconds (the
+#: ``proxy.learn_drain`` timer)
 W_LEARN = "proxy.learn"
 #: requests answered (hit + forwarded), sampled per telemetry tick
 W_ANSWERED = "proxy.answered"

@@ -32,7 +32,7 @@ single ``is None`` branch (CI gates the enabled cost at <5%).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.metrics import catalog
 from repro.metrics.perf import PERF
@@ -401,7 +401,7 @@ class LiveTelemetry:
     process serves (one per app).  Each :meth:`tick` diffs their
     cumulative counters (hits, answered, learner overflows, wasted
     prefetches) into the current window bucket, folds the per-tick
-    delta of the registry's ``stage_seconds{stage=proxy.learn}``
+    delta of the registry's ``stage_seconds{stage=proxy.learn_drain}``
     histogram into the learn window (zero extra hot-path work), then
     lets the SLO engine and backpressure controller read the windows.
     """
@@ -488,12 +488,12 @@ class LiveTelemetry:
             self.windows.inc(catalog.W_OVERFLOW, now, deltas["overflow"])
         if deltas["wasted"]:
             self.windows.inc(catalog.W_WASTED, now, deltas["wasted"])
-        # fold the per-tick delta of the registry's learn-stage
-        # histogram into the learn window: the deferred drain already
-        # observes every batch there, so the live plane costs the
-        # serving path nothing extra
+        # fold the per-tick delta of the registry's learn-drain timer
+        # into the learn window: the deferred drain already observes
+        # every batch there, so the live plane costs the serving path
+        # nothing extra
         histogram = PERF.registry.histogram(
-            catalog.STAGE_SECONDS, {"stage": "proxy.learn"}
+            catalog.STAGE_SECONDS, {"stage": "proxy.learn_drain"}
         )
         if histogram is not None and tuple(histogram.bounds) == tuple(
             self.windows.histograms[catalog.W_LEARN].bounds

@@ -1,23 +1,26 @@
-"""Hot-path performance counters (near-zero overhead when disabled).
+"""Hot-path instrumentation: the PERF gate and the ``stage()`` context.
 
 The proxy's request path — signature dispatch, pending-instance wakes,
 cache lookups, prefetch issuing — is instrumented with named counters
-and per-stage wall-clock timings so benchmarks can assert *work done*
+and per-stage wall-clock timers so benchmarks can assert *work done*
 (regex attempts, candidates examined, retries) instead of flaky wall
 time.  Everything funnels through one process-global
-:class:`PerfCounters` instance, :data:`PERF`.
+:class:`PerfCounters` instance, :data:`PERF`: an enable gate over one
+:class:`~repro.metrics.registry.MetricRegistry`, whose ``counters``
+dict the hot path writes directly.
 
-:class:`PerfCounters` is a thin facade over a
-:class:`~repro.metrics.registry.MetricRegistry`: its ``counters`` and
-``timings`` dicts *are* the registry's stores (same objects), so the
-hot path keeps its raw-dict writes while labeled series, histograms,
-and the Prometheus export live in the registry.  ``stage()``
-additionally feeds a ``stage_seconds{stage=...}`` histogram so the
-scale harness can report per-stage p50/p95/p99, not just totals.
+Each serving step is measured by one call, :func:`stage`.  The catalog
+(:data:`repro.metrics.catalog.STAGES`) declares per stage the trace
+span it opens on a sampled request and the timer it feeds while PERF
+is enabled; one clock pair then serves both — the timer lands in the
+``stage_seconds{stage=<timer>}`` histogram (count, sum and p50/p95/p99
+in one store), the span in the request's
+:class:`~repro.metrics.trace.TraceContext`.
 
-Disabled (the default) the cost at a call site is one attribute load
-and a branch; the hottest loops guard with ``if PERF.enabled:`` so not
-even the call happens.  Enable around a measured region::
+Disabled (the default) the cost at a call site is one function call
+returning a shared idle context; the hottest loops guard counters with
+``if PERF.enabled:`` so not even the call happens.  Enable around a
+measured region::
 
     from repro.metrics.perf import PERF
 
@@ -31,32 +34,26 @@ from __future__ import annotations
 import sys
 import time
 from contextlib import contextmanager
-from typing import Dict, Iterator
+from typing import Dict, Iterator, Optional
 
-from repro.metrics.catalog import STAGE_SECONDS
+from repro.metrics.catalog import STAGE_SECONDS, STAGES
 from repro.metrics.registry import MetricRegistry
+from repro.metrics.trace import Span, TraceContext
 
 
 class PerfCounters:
-    """Named monotonic counters plus accumulated stage timings."""
+    """The enable gate over one registry (named counters + histograms)."""
 
-    __slots__ = ("enabled", "registry", "counters", "timings")
+    __slots__ = ("enabled", "registry", "counters")
 
     def __init__(self) -> None:
         self.enabled = False
         self.registry = MetricRegistry()
-        # facade: these are the registry's own stores, not copies —
-        # reset() clears them in place so the aliases stay live
+        # the registry's own store, not a copy — reset() clears it in
+        # place so the alias stays live
         self.counters: Dict[str, int] = self.registry.counters
-        self.timings: Dict[str, float] = self.registry.timings
 
     # -- lifecycle ------------------------------------------------------
-    def enable(self) -> None:
-        self.enabled = True
-
-    def disable(self) -> None:
-        self.enabled = False
-
     def reset(self) -> None:
         self.registry.reset()
 
@@ -83,58 +80,16 @@ class PerfCounters:
             self.counters[name] = value
 
     def merge(self, snapshot: Dict) -> None:
-        """Fold a worker-process snapshot in.
-
-        Accepts either a plain counter dict (the historical shape) or a
-        full :meth:`snapshot` dict (``counters`` + ``timings_s`` +
-        ``histograms``), so pool runners fold back stage timings and
-        histograms too instead of silently dropping them.  Plain
-        counters add; ``*_peak`` names keep the maximum, matching
-        :meth:`peak` semantics.
-        """
-        if not self.enabled:
-            return
-        if isinstance(snapshot.get("counters"), dict):
-            # full snapshot: the registry owns the fold-back semantics
-            # (peak counters keep max, histogram bounds must agree, new
-            # series respect the cardinality guard)
+        """Fold a worker process's :meth:`snapshot` in (while enabled)."""
+        if self.enabled:
             self.registry.merge(snapshot)
-            return
-        for name, value in snapshot.items():
-            if name.split("{", 1)[0].endswith("_peak"):
-                self.peak(name, value)
-            else:
-                self.counters[name] = self.counters.get(name, 0) + value
-
-    @contextmanager
-    def stage(self, name: str) -> Iterator[None]:
-        """Accumulate wall-clock time under ``name`` while enabled."""
-        if not self.enabled:
-            yield
-            return
-        started = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed = time.perf_counter() - started
-            self.timings[name] = self.timings.get(name, 0.0) + elapsed
-            self.registry.observe(STAGE_SECONDS, elapsed, labels={"stage": name})
 
     # -- reading --------------------------------------------------------
     def get(self, name: str) -> int:
         return self.counters.get(name, 0)
 
-    def snapshot(self) -> Dict[str, Dict]:
-        data: Dict[str, Dict] = {
-            "counters": dict(self.counters),
-            "timings_s": dict(self.timings),
-        }
-        histograms = self.registry.snapshot_histograms()
-        if histograms:
-            data["histograms"] = histograms
-        if self.registry.gauges:
-            data["gauges"] = dict(self.registry.gauges)
-        return data
+    def snapshot(self) -> Dict[str, object]:
+        return self.registry.snapshot()
 
     def __repr__(self) -> str:
         return "PerfCounters(enabled={}, {} counters)".format(
@@ -163,3 +118,98 @@ def rss_peak_bytes() -> int:
 
 #: process-global counter sink used by the proxy hot path
 PERF = PerfCounters()
+
+
+# ======================================================================
+# stage(): one instrumentation call per serving step
+# ======================================================================
+#: stage name -> (span name or None, timer labels or None)
+_STAGES = {
+    name: (span, {"stage": timer} if timer is not None else None)
+    for name, (span, timer) in STAGES.items()
+}
+
+
+class _Idle:
+    """The shared context of a step that records nothing."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> "_Idle":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        return None
+
+    def tag(self, **tags) -> None:
+        pass
+
+
+_IDLE = _Idle()
+
+
+class _Step:
+    """One open stage: its optional span and its optional timer."""
+
+    __slots__ = ("trace", "span", "timer", "started")
+
+    def __init__(
+        self,
+        trace: Optional[TraceContext],
+        span_name: Optional[str],
+        tags: Dict[str, object],
+        timer: Optional[Dict[str, str]],
+    ) -> None:
+        self.trace = trace
+        self.timer = timer
+        self.span = None
+        if trace is not None:
+            span = self.span = Span(span_name)
+            if tags:
+                span.tags.update(tags)
+
+    def __enter__(self) -> "_Step":
+        span = self.span
+        if span is not None and self.trace.sim_clock is not None:
+            span.sim_started = self.trace.sim_clock()
+        self.started = time.perf_counter()
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        elapsed = time.perf_counter() - self.started
+        if self.timer is not None:
+            PERF.registry.observe(STAGE_SECONDS, elapsed, labels=self.timer)
+        span = self.span
+        if span is not None and exc_type is None:
+            # a step cut short by an exception files no span
+            span.wall_s = elapsed
+            if span.sim_started is not None:
+                span.sim_s = self.trace.sim_clock() - span.sim_started
+            self.trace.spans.append(span)
+        return None
+
+    def tag(self, **tags) -> None:
+        """Tag the span; callable until the trace is finished."""
+        if self.span is not None:
+            self.span.tags.update(tags)
+
+
+def stage(trace: Optional[TraceContext], name: str, **tags):
+    """Measure one serving step: ``with stage(trace, "match") as step:``.
+
+    ``name`` is a :data:`~repro.metrics.catalog.STAGES` key (an
+    undeclared name raises ``KeyError``).  On a sampled ``trace`` the
+    block files the stage's span, tagged with ``tags`` plus whatever
+    ``step.tag(...)`` adds; while PERF is enabled it observes the
+    block's wall seconds under the stage's timer.  A block held open
+    across a simulator ``yield`` measures the suspension too, in wall
+    and in sim time; no timed stage spans a yield.
+    """
+    span_name, timer = _STAGES[name]
+    if not PERF.enabled:
+        timer = None
+    if span_name is None:
+        trace = None
+    if trace is None and timer is None:
+        return _IDLE
+    return _Step(trace, span_name, tags, timer)

@@ -10,13 +10,14 @@ kinds:
 * **gauges** — last-written values (queue depths, shard counts);
 * **histograms** — fixed-bucket latency distributions with a
   p50/p95/p99 readout estimated by linear interpolation inside the
-  bucket holding the rank.
+  bucket holding the rank, plus their exact count and sum.
 
-:data:`~repro.metrics.perf.PERF` is a thin facade over one registry:
-its ``counters``/``timings`` dicts *are* the registry's stores, so
-every existing ``PERF.incr`` call site is already writing labeled-less
-series here, and ``PERF.stage`` feeds a ``stage_seconds{stage=...}``
-histogram alongside the accumulated total.
+:data:`~repro.metrics.perf.PERF` is an enable gate over one registry:
+its ``counters`` dict *is* the registry's store, so every
+``PERF.incr`` call site writes unlabeled series here, and every
+``stage()`` timer feeds one ``stage_seconds{stage=...}`` histogram —
+the stage's total seconds is that histogram's ``sum``, kept nowhere
+else.
 
 Label cardinality is bounded per metric (``max_series_per_metric``):
 once a metric has that many live series, further new label sets are
@@ -136,12 +137,11 @@ class Histogram:
 
 
 class MetricRegistry:
-    """Process-wide labeled counters, gauges, timings, and histograms."""
+    """Process-wide labeled counters, gauges, and histograms."""
 
     __slots__ = (
         "counters",
         "gauges",
-        "timings",
         "histograms",
         "max_series_per_metric",
         "overflow_series",
@@ -153,8 +153,6 @@ class MetricRegistry:
         #: :class:`~repro.metrics.perf.PerfCounters` as its ``counters``
         self.counters: Dict[str, int] = {}
         self.gauges: Dict[str, float] = {}
-        #: accumulated stage seconds, the facade's ``timings`` store
-        self.timings: Dict[str, float] = {}
         self.histograms: Dict[str, Histogram] = {}
         self.max_series_per_metric = max_series_per_metric
         self.overflow_series = 0
@@ -211,20 +209,11 @@ class MetricRegistry:
             if base == name:
                 yield labels, histogram
 
-    def percentiles(
-        self, name: str, labels=None, qs: Sequence[float] = (50, 95, 99)
-    ) -> Dict[str, float]:
-        histogram = self.histogram(name, labels)
-        if histogram is None:
-            return {}
-        return {"p{:g}".format(q): histogram.percentile(q) for q in qs}
-
     # -- lifecycle ------------------------------------------------------
     def reset(self) -> None:
-        """Clear every store *in place* (facade dicts stay aliased)."""
+        """Clear every store *in place* (PERF's alias stays live)."""
         self.counters.clear()
         self.gauges.clear()
-        self.timings.clear()
         self.histograms.clear()
         self._series_count.clear()
         self.overflow_series = 0
@@ -255,7 +244,6 @@ class MetricRegistry:
         return {
             "counters": dict(self.counters),
             "gauges": dict(self.gauges),
-            "timings_s": dict(self.timings),
             "histograms": self.snapshot_histograms(),
             "overflow_series": self.overflow_series,
         }
@@ -266,7 +254,7 @@ class MetricRegistry:
         Fold-back semantics — chosen so that merging is commutative and
         associative across any set of worker snapshots:
 
-        * counters and timings **add**, except counters whose base name
+        * counters **add**, except counters whose base name
           ends in ``_peak``, which keep the **maximum** (matching
           :meth:`~repro.metrics.perf.PerfCounters.peak`);
         * gauges keep the **maximum** (worker gauges are high-water
@@ -290,10 +278,6 @@ class MetricRegistry:
                     self.counters[key] = value
             else:
                 self.counters[key] = self.counters.get(key, 0) + value
-        for key, value in (snapshot.get("timings_s") or {}).items():
-            name, labels = parse_series_key(key)
-            key = self._key(self.timings, name, labels)
-            self.timings[key] = self.timings.get(key, 0.0) + value
         for key, value in (snapshot.get("gauges") or {}).items():
             name, labels = parse_series_key(key)
             key = self._key(self.gauges, name, labels)
@@ -320,8 +304,6 @@ class MetricRegistry:
 
         for key in sorted(self.counters):
             emit(key, "counter", "_total", self.counters[key])
-        for key in sorted(self.timings):
-            emit(key, "counter", "_seconds_total", self.timings[key])
         for key in sorted(self.gauges):
             emit(key, "gauge", "", self.gauges[key])
         for key in sorted(self.histograms):

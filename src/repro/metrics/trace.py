@@ -7,7 +7,7 @@ say *which stage* of *which signature* a given request spent its time
 in, and *why* a cache lookup missed.  One :class:`TraceContext` is
 threaded through ``MultiAppProxy.handle_request`` →
 ``AccelerationProxy.handle_request`` → ``DynamicLearner`` →
-``Prefetcher``/``Refresher``, collecting one :class:`Span` per stage:
+``Prefetcher``, collecting one :class:`Span` per stage:
 
 ========================  ====================================================
 stage                     meaning
@@ -15,12 +15,16 @@ stage                     meaning
 ``match``                 signature dispatch (indexed matcher)
 ``cache_lookup``          per-user exact-match cache probe
 ``origin_fetch``          proxy → origin round trip (misses, passthrough)
-``learn``                 run-time value learning from the transaction
+``learn``                 run-time value learning (or the deferred enqueue)
+``learn_drain``           one pump of the deferred learn queue
 ``instantiate``           successor spawning + pending-instance drain
 ``prefetch_issue``        prefetcher policy gates for one ready request
 ``store``                 cache insert of a fetched response
 ========================  ====================================================
 
+Spans are filed by :func:`repro.metrics.perf.stage`, the one call per
+serving step that also feeds the step's ``stage_seconds`` timer (the
+catalog's :data:`~repro.metrics.catalog.STAGES` declares both).
 ``cache_lookup`` spans carry the per-request **outcome** tag — one of
 :data:`LOOKUP_OUTCOMES` (``hit``, ``miss_expired``, ``miss_absent``,
 ``wildcard_pending``, ``disabled``, ``unmatched``, ``not_successor``,
@@ -28,21 +32,19 @@ stage                     meaning
 exactly the attribution a prefetcher postmortem needs.
 
 Overhead discipline mirrors :data:`~repro.metrics.perf.PERF`: with the
-global :data:`TRACER` disabled the cost at every call site is one
-attribute load and a branch (``if TRACER.enabled:``); spans record
-both host wall time (``time.perf_counter``) and, when a simulator
-clock is configured, virtual time.  Sampling is decided per request by
-a seeded PRNG, so a fixed seed yields a deterministic sample set, and
-finished traces land in a bounded ring buffer (oldest dropped first)
-exportable as JSONL — one record per line, validated by
-:func:`validate_record`.
+global :data:`TRACER` disabled no trace is begun and every ``stage()``
+call returns a shared idle context; spans record both host wall time
+(``time.perf_counter``) and, when a simulator clock is configured,
+virtual time.  Sampling is decided per request by a seeded PRNG, so a
+fixed seed yields a deterministic sample set, and finished traces land
+in a bounded ring buffer (oldest dropped first) exportable as JSONL —
+one record per line, validated by :func:`validate_record`.
 """
 
 from __future__ import annotations
 
 import json
 import random
-import time
 from collections import deque
 from contextlib import contextmanager
 from typing import Callable, Dict, Iterator, List, Optional
@@ -60,8 +62,8 @@ LOOKUP_OUTCOMES = catalog.LOOKUP_OUTCOMES
 #: the miss causes reported per request class (everything but a hit)
 MISS_CAUSES = catalog.MISS_CAUSES
 
-#: trace kinds: client requests, background prefetches, §5 refreshes,
-#: plus run-level "summary" records (spanless, tags-only — e.g. the
+#: trace kinds: client requests, background prefetches, plus
+#: run-level "summary" records (spanless, tags-only — e.g. the
 #: scale harness's per-signature issued/hit/wasted table)
 KINDS = catalog.TRACE_KINDS
 
@@ -69,21 +71,24 @@ KINDS = catalog.TRACE_KINDS
 class Span:
     """One stage of one traced request."""
 
-    __slots__ = ("name", "wall_started_s", "wall_s", "sim_started", "sim_s", "tags")
+    __slots__ = ("name", "wall_s", "sim_started", "sim_s", "tags")
 
-    def __init__(self, name: str, wall_started_s: float, sim_started) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self.wall_started_s = wall_started_s
         self.wall_s = 0.0
-        self.sim_started = sim_started
+        self.sim_started: Optional[float] = None
         self.sim_s: Optional[float] = None
         self.tags: Dict[str, object] = {}
 
 
 class TraceContext:
-    """Span collector for one request's trip through the proxy."""
+    """Span collector for one request's trip through the proxy.
 
-    __slots__ = ("trace_id", "user", "app", "kind", "tags", "spans", "_sim_clock")
+    Spans are filed by :func:`repro.metrics.perf.stage`, which times
+    each serving step once for both its span and its timer.
+    """
+
+    __slots__ = ("trace_id", "user", "app", "kind", "tags", "spans", "sim_clock")
 
     def __init__(
         self,
@@ -98,38 +103,23 @@ class TraceContext:
         self.kind = kind
         self.tags: Dict[str, object] = {}
         self.spans: List[Span] = []
-        self._sim_clock = sim_clock
+        self.sim_clock = sim_clock
 
     def tag(self, key: str, value) -> None:
         self.tags[key] = value
 
-    # ------------------------------------------------------------------
-    def start_span(self, name: str, **tags) -> Span:
-        span = Span(
-            name,
-            time.perf_counter(),
-            self._sim_clock() if self._sim_clock is not None else None,
-        )
-        if tags:
-            span.tags.update(tags)
-        return span
+    def mark(self, name: str, **tags) -> None:
+        """File a zero-length span: an outcome with no work to time.
 
-    def end_span(self, span: Span, **tags) -> Span:
-        span.wall_s = time.perf_counter() - span.wall_started_s
-        if span.sim_started is not None:
-            span.sim_s = self._sim_clock() - span.sim_started
-        if tags:
-            span.tags.update(tags)
+        The multi-app router's passthrough files its ``cache_lookup``
+        outcome this way — no lookup ran, so no stage timer may count
+        one.
+        """
+        span = Span(name)
+        if self.sim_clock is not None:
+            span.sim_s = 0.0
+        span.tags.update(tags)
         self.spans.append(span)
-        return span
-
-    @contextmanager
-    def span(self, name: str, **tags) -> Iterator[Span]:
-        started = self.start_span(name, **tags)
-        try:
-            yield started
-        finally:
-            self.end_span(started)
 
     # ------------------------------------------------------------------
     def to_record(self) -> Dict[str, object]:

@@ -25,7 +25,6 @@ from repro.proxy.multiapp import MultiAppProxy, MultiAppTransport
 from repro.proxy.popularity import PopularityTracker
 from repro.proxy.prefetcher import Prefetcher
 from repro.proxy.proxy import AccelerationProxy, ProxiedTransport
-from repro.proxy.refresher import Refresher
 from repro.proxy.verification import VerificationReport, run_verification
 
 __all__ = [
@@ -40,7 +39,6 @@ __all__ = [
     "Prefetcher",
     "ProxiedTransport",
     "ProxyConfig",
-    "Refresher",
     "RequestInstance",
     "RuntimeSignature",
     "SignatureMatcher",

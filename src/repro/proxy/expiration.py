@@ -147,8 +147,8 @@ class ExpirationEstimator:
         self.error_limit = error_limit
         self.max_probes = max_probes
         #: when True, converged estimates are written back into the
-        #: policy's ``expiration_time`` so the §5 refresher interval
-        #: follows the learned TTL too
+        #: policy's ``expiration_time`` so every other reader of the
+        #: policy sees the learned TTL too
         self.apply_to_config = apply_to_config
         self.probe_user = probe_user
         self.estimates: Dict[str, SiteEstimate] = {}

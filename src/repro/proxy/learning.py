@@ -29,10 +29,12 @@ request path does only the already-indexed signature match plus an O(1)
 enqueue into a bounded learn queue; the full pipeline — value
 learning, cookie tracking, successor spawning, the pending-instance
 drain — runs inside :meth:`drain_learn_queue`, a *budgeted* drain
-pumped by the proxy after the response is determined, by the
-prefetcher after each background fetch, and by the refresher/scale
-sweeper loops.  A full queue drops the observation (counted under
-``learn.queue_overflow``) rather than ever blocking the request path.
+pumped by one pump,
+:meth:`~repro.proxy.prefetcher.Prefetcher.pump_learning`: after each
+response is determined, after each background prefetch fetch, and by
+the scale harness's sweeper loop.  A full queue drops the observation
+(counted under ``learn.queue_overflow``) rather than ever blocking the
+request path.
 ``learn_mode="inline"`` retains the seed's learn-on-observe behavior
 as the differential oracle: ``tests/test_learning_deferred.py``
 asserts both modes produce the same ready-prefetch set once the queue
@@ -48,7 +50,7 @@ from repro.analysis.model import AnalysisResult, UnknownAtom
 from repro.httpmsg.cookies import CookieJar
 from repro.httpmsg.fieldpath import FieldPath
 from repro.httpmsg.message import Request, Response, Transaction
-from repro.metrics.perf import PERF
+from repro.metrics.perf import PERF, stage
 from repro.metrics.trace import TraceContext
 from repro.proxy.instances import (
     RequestInstance,
@@ -212,28 +214,21 @@ class DynamicLearner:
             # request path ends here: O(1) enqueue, never blocks.  The
             # matched signature rides along so the drain skips a second
             # (memoized, but still non-free) dispatch.
-            span = (
-                trace.start_span(
-                    "learn", signature=signature.site if signature else ""
-                )
-                if trace is not None
-                else None
-            )
-            if len(self._learn_queue) >= self.learn_queue_capacity:
-                self.queue_overflows += 1
-                if PERF.enabled:
+            with stage(
+                trace, "learn", signature=signature.site if signature else ""
+            ) as step:
+                if len(self._learn_queue) >= self.learn_queue_capacity:
+                    self.queue_overflows += 1
                     PERF.incr("learn.queue_overflow")
-                if span is not None:
-                    trace.end_span(span, outcome="overflow")
-                return []
-            self._learn_queue.append(
-                _QueuedObservation(signature, transaction, user, depth)
-            )
-            self.deferred_enqueued += 1
-            if PERF.enabled:
-                PERF.peak("learn.queue_depth_peak", len(self._learn_queue))
-            if span is not None:
-                trace.end_span(span, outcome="enqueued")
+                    step.tag(outcome="overflow")
+                    return []
+                self._learn_queue.append(
+                    _QueuedObservation(signature, transaction, user, depth)
+                )
+                self.deferred_enqueued += 1
+                if PERF.enabled:
+                    PERF.peak("learn.queue_depth_peak", len(self._learn_queue))
+                step.tag(outcome="enqueued")
             return []
         return self._process_observation(signature, transaction, user, depth, trace)
 
@@ -249,35 +244,29 @@ class DynamicLearner:
         if signature is None:
             self._track_cookies(transaction, user, signature)
             return []
-        span = (
-            trace.start_span("learn", signature=signature.site)
-            if trace is not None
-            else None
-        )
-        if not self.static_only:
-            # case 2: the transaction is an actual example of this
-            # signature
-            self._learn_from_request(signature, transaction.request, user)
-            # jar-derived cookie state must win over the request's
-            # (already stale) Cookie header: the client's *next* request
-            # will carry whatever Set-Cookie this response just issued
-            self._track_cookies(transaction, user, signature)
-        if span is not None:
-            trace.end_span(span)
-            span = trace.start_span("instantiate", signature=signature.site)
-        ready: List[ReadyPrefetch] = []
-        spawned = 0
-        # case 1: predecessor — spawn successor instances
-        if signature.is_predecessor and transaction.response.ok:
-            for instance in self._spawn_successors(
-                signature, transaction.response, user, depth
-            ):
-                self._enqueue(instance)
-                spawned += 1
-        # drain anything now resolvable (including older pending work)
-        ready.extend(self._drain_pending())
-        if span is not None:
-            trace.end_span(span, spawned=spawned, completed=len(ready))
+        with stage(trace, "learn", signature=signature.site):
+            if not self.static_only:
+                # case 2: the transaction is an actual example of this
+                # signature
+                self._learn_from_request(signature, transaction.request, user)
+                # jar-derived cookie state must win over the request's
+                # (already stale) Cookie header: the client's *next*
+                # request will carry whatever Set-Cookie this response
+                # just issued
+                self._track_cookies(transaction, user, signature)
+        with stage(trace, "instantiate", signature=signature.site) as step:
+            ready: List[ReadyPrefetch] = []
+            spawned = 0
+            # case 1: predecessor — spawn successor instances
+            if signature.is_predecessor and transaction.response.ok:
+                for instance in self._spawn_successors(
+                    signature, transaction.response, user, depth
+                ):
+                    self._enqueue(instance)
+                    spawned += 1
+            # drain anything now resolvable (including older pending work)
+            ready.extend(self._drain_pending())
+            step.tag(spawned=spawned, completed=len(ready))
         return ready
 
     # ------------------------------------------------------------------
@@ -288,11 +277,7 @@ class DynamicLearner:
         """Observations parked for the deferred drain."""
         return len(self._learn_queue)
 
-    def drain_learn_queue(
-        self,
-        budget: Optional[int] = None,
-        trace: Optional[TraceContext] = None,
-    ) -> List[ReadyPrefetch]:
+    def drain_learn_queue(self, budget: Optional[int] = None) -> List[ReadyPrefetch]:
         """Run the learn pipeline for up to ``budget`` parked observations.
 
         ``budget=None`` uses :attr:`learn_drain_budget` (itself None =
@@ -319,7 +304,6 @@ class DynamicLearner:
                     queued.transaction,
                     queued.user,
                     queued.depth,
-                    trace,
                 )
             )
         self.deferred_drained += drained

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Dict, Generator, List, Optional, Tuple
 
 from repro.httpmsg.message import Request
+from repro.metrics.perf import stage
 from repro.metrics.trace import TRACER
 from repro.netsim.link import Link
 from repro.netsim.sim import Delay, Simulator
@@ -70,20 +71,17 @@ class MultiAppProxy:
             )
             TRACER.finish(trace)
             return response
-        # unknown app traffic: plain forwarding, no acceleration
+        # unknown app traffic: plain forwarding, no acceleration (and
+        # no lookup to time: the outcome is filed as a marker span)
         self.passthrough += 1
-        span = None
         if trace is not None:
             trace.app = "_passthrough"
-            span = trace.start_span("cache_lookup")
-            trace.end_span(span, outcome="passthrough", shard=user)
-            span = trace.start_span("origin_fetch")
-        response, _ = yield self.sim.spawn(
-            origin_fetch(self.sim, self.origins, request, user)
-        )
-        if span is not None:
-            trace.end_span(span)
-            TRACER.finish(trace)
+            trace.mark("cache_lookup", outcome="passthrough", shard=user)
+        with stage(trace, "origin_fetch"):
+            response, _ = yield self.sim.spawn(
+                origin_fetch(self.sim, self.origins, request, user)
+            )
+        TRACER.finish(trace)
         return response
 
     def purge_expired(self, now: float) -> int:

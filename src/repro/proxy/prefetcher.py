@@ -45,8 +45,8 @@ from collections import deque
 from typing import Deque, Dict, Generator, List, Optional, Set, Tuple
 
 from repro.httpmsg.message import Request, Response, Transaction
-from repro.metrics.perf import PERF
-from repro.metrics.trace import TRACER
+from repro.metrics.perf import PERF, stage
+from repro.metrics.trace import TRACER, TraceContext
 from repro.netsim.sim import Delay, Simulator
 from repro.netsim.transport import OriginMap
 from repro.proxy.cache import PrefetchCache
@@ -317,12 +317,11 @@ class Prefetcher:
         if trace is not None:
             trace.tag("signature", site)
         try:
-            span = trace.start_span("origin_fetch") if trace is not None else None
-            response, transferred = yield self.sim.spawn(
-                origin_fetch(self.sim, self.origins, wire_request, user)
-            )
-            if span is not None:
-                trace.end_span(span, bytes=transferred, signature=site)
+            with stage(trace, "origin_fetch", signature=site) as step:
+                response, transferred = yield self.sim.spawn(
+                    origin_fetch(self.sim, self.origins, wire_request, user)
+                )
+                step.tag(bytes=transferred)
             self.prefetch_bytes += transferred
             self.issued += 1
             self.issued_by_site[site] = self.issued_by_site.get(site, 0) + 1
@@ -334,19 +333,19 @@ class Prefetcher:
             self._record_response_time(site, elapsed)
             if site not in self.sample_requests:
                 self.sample_requests[site] = ready.request.copy()
+            if trace is not None:
+                trace.tag("ok", response.ok)
             if response.ok:
                 self.success_by_site[site] = self.success_by_site.get(site, 0) + 1
-                span = trace.start_span("store") if trace is not None else None
-                self.cache.put(
-                    user,
-                    ready.request,
-                    response,
-                    site,
-                    now=self.sim.now,
-                    ttl=self.ttl_for(site, response),
-                )
-                if span is not None:
-                    trace.end_span(span, signature=site)
+                with stage(trace, "store", signature=site):
+                    self.cache.put(
+                        user,
+                        ready.request,
+                        response,
+                        site,
+                        now=self.sim.now,
+                        ttl=self.ttl_for(site, response),
+                    )
                 # chain prefetching (Fig. 3c): the prefetched response
                 # may itself be a predecessor
                 transaction = Transaction(
@@ -357,46 +356,58 @@ class Prefetcher:
                     user=user,
                     prefetched=True,
                 )
-                next_list = self.learner.observe(
-                    transaction, user, depth=ready.instance.depth, trace=trace
+                self.submit_all(
+                    self.learner.observe(
+                        transaction, user, depth=ready.instance.depth, trace=trace
+                    ),
+                    trace,
                 )
                 # deferred mode parked the chain observation — pump the
                 # drain here so chain prefetches still issue off this
                 # background fetch instead of waiting for client traffic
-                if (
-                    self.learner.learn_mode == "deferred"
-                    and self.learner.learn_queue_depth
-                ):
-                    span = (
-                        trace.start_span("learn_drain")
-                        if trace is not None
-                        else None
-                    )
-                    with PERF.stage("proxy.learn_drain"):
-                        next_list = next_list + self.learner.drain_learn_queue()
-                    if span is not None:
-                        trace.end_span(span, completed=len(next_list))
-                for next_ready in next_list:
-                    if trace is not None:
-                        span = trace.start_span(
-                            "prefetch_issue", site=next_ready.instance.signature.site
-                        )
-                        trace.end_span(span, outcome=self.submit(next_ready))
-                    else:
-                        self.submit(next_ready)
-                if trace is not None:
-                    trace.tag("ok", True)
+                self.pump_learning(trace)
             else:
                 self.errors += 1
                 self.error_by_site[site] = self.error_by_site.get(site, 0) + 1
-                if trace is not None:
-                    trace.tag("ok", False)
         finally:
             TRACER.finish(trace)
             self._inflight.discard((user, ready.request.exact_key()))
             self._active -= 1
             self._drain()
         return None
+
+    def submit_all(
+        self, ready_list: List[ReadyPrefetch], trace: Optional[TraceContext] = None
+    ) -> None:
+        """Submit ready prefetches in order, one ``prefetch_issue`` each."""
+        for ready in ready_list:
+            with stage(
+                trace, "prefetch_issue", site=ready.instance.signature.site
+            ) as step:
+                step.tag(outcome=self.submit(ready))
+
+    def pump_learning(
+        self,
+        trace: Optional[TraceContext] = None,
+        budget: Optional[int] = None,
+    ) -> int:
+        """Pump the deferred learn drain; submit completed prefetches.
+
+        The one pump behind both the proxy's request path (after each
+        response) and this prefetcher's background fetches (after each
+        chain observation).  No-op for inline-mode learners and empty
+        queues.  ``budget`` overrides the learner's per-pump drain
+        budget (None = learner default).  Returns the number of
+        prefetches submitted.
+        """
+        learner = self.learner
+        if learner.learn_mode != "deferred" or not learner.learn_queue_depth:
+            return 0
+        with stage(trace, "learn_drain") as step:
+            ready_list = learner.drain_learn_queue(budget=budget)
+        step.tag(completed=len(ready_list))
+        self.submit_all(ready_list, trace)
+        return len(ready_list)
 
     def _record_response_time(self, site: str, elapsed: float) -> None:
         samples = self._response_samples.get(site, 0)

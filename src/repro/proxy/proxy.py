@@ -16,7 +16,7 @@ from typing import Dict, Generator, Optional
 
 from repro.analysis.model import AnalysisResult
 from repro.httpmsg.message import Request, Transaction
-from repro.metrics.perf import PERF
+from repro.metrics.perf import PERF, stage
 from repro.metrics.trace import TRACER, TraceContext
 from repro.netsim.link import Link
 from repro.netsim.sim import Delay, Simulator
@@ -74,9 +74,6 @@ class AccelerationProxy:
         self.forwarded = 0
         self.client_bytes = 0
         self.server_bytes = 0  # demand (non-prefetch) proxy↔server bytes
-        #: optional hook fired on every cache hit: (user, site, request)
-        #: — used by the §5 refresher to track consumed prefetches
-        self.on_cache_hit = None
 
     # ------------------------------------------------------------------
     def handle_request(
@@ -95,52 +92,34 @@ class AccelerationProxy:
         if owns_trace:
             trace = TRACER.begin(user)
             owns_trace = trace is not None
-        span = trace.start_span("match") if trace is not None else None
-        with PERF.stage("proxy.dispatch"):
+        with stage(trace, "match") as step:
             signature = self.learner.signature_for(request)
         site = signature.site if signature else None
-        if span is not None:
-            trace.end_span(span, signature=site or "")
-        observing = trace is not None or PERF.enabled
-        span = trace.start_span("cache_lookup") if trace is not None else None
-        with PERF.stage("proxy.cache_lookup"):
-            if observing:
-                entry, lookup_outcome = self.cache.lookup(user, request, self.sim.now)
-            else:
-                entry = self.cache.get(user, request, self.sim.now)
-                lookup_outcome = "hit" if entry is not None else "miss_absent"
+        step.tag(signature=site or "")
+        with stage(trace, "cache_lookup", signature=site or "", shard=user) as step:
+            entry, lookup_outcome = self.cache.lookup(user, request, self.sim.now)
         started_at = self.sim.now
         if entry is not None:
-            if span is not None:
-                trace.end_span(span, outcome="hit", signature=site or "", shard=user)
+            step.tag(outcome="hit")
             yield Delay(PROXY_PROCESSING)
             self.cache.mark_served(entry)
             self.served_prefetched += 1
             if site:
                 self.cache.record_hit(site)
-                if self.on_cache_hit is not None:
-                    self.on_cache_hit(user, site, request)
             response = entry.response
             prefetched = True
         else:
-            if observing:
+            if trace is not None or PERF.enabled:
                 cause = self._miss_cause(signature, user, lookup_outcome)
-                if PERF.enabled:
-                    PERF.incr("cache.miss." + cause)
-                if span is not None:
-                    trace.end_span(
-                        span, outcome=cause, signature=site or "", shard=user
-                    )
+                PERF.incr("cache.miss." + cause)
+                step.tag(outcome=cause)
             if site and signature.is_successor:
                 self.cache.record_miss(site)
-            fetch_span = (
-                trace.start_span("origin_fetch") if trace is not None else None
-            )
-            response, transferred = yield self.sim.spawn(
-                origin_fetch(self.sim, self.origins, request, user)
-            )
-            if fetch_span is not None:
-                trace.end_span(fetch_span, bytes=transferred, signature=site or "")
+            with stage(trace, "origin_fetch", signature=site or "") as step:
+                response, transferred = yield self.sim.spawn(
+                    origin_fetch(self.sim, self.origins, request, user)
+                )
+                step.tag(bytes=transferred)
             self.server_bytes += transferred
             self.forwarded += 1
             prefetched = False
@@ -157,18 +136,9 @@ class AccelerationProxy:
             user=user,
             prefetched=prefetched,
         )
-        with PERF.stage("proxy.learn"):
+        with stage(trace, "proxy.learn"):
             ready_list = self.learner.observe(transaction, user, depth=0, trace=trace)
-        if trace is not None:
-            for ready in ready_list:
-                span = trace.start_span(
-                    "prefetch_issue", site=ready.instance.signature.site
-                )
-                outcome = self.prefetcher.submit(ready)
-                trace.end_span(span, outcome=outcome)
-        else:
-            for ready in ready_list:
-                self.prefetcher.submit(ready)
+        self.prefetcher.submit_all(ready_list, trace)
         # deferred mode: pump the budgeted drain now that the response
         # is determined — the learn tail runs off the request-critical
         # path, and completed prefetches submit exactly as inline
@@ -176,8 +146,8 @@ class AccelerationProxy:
         self.pump_learning(trace)
         if trace is not None:
             trace.tag("served", "prefetched" if prefetched else "origin")
-            if owns_trace:
-                TRACER.finish(trace)
+        if owns_trace:
+            TRACER.finish(trace)
         return response
 
     # ------------------------------------------------------------------
@@ -188,29 +158,10 @@ class AccelerationProxy:
     ) -> int:
         """Pump the deferred learn drain; submit completed prefetches.
 
-        No-op for inline-mode learners and empty queues.  ``budget``
-        overrides the learner's per-pump drain budget (None = learner
-        default).  Returns the number of prefetches submitted.
+        See :meth:`Prefetcher.pump_learning`, which this proxy's
+        request path and its prefetcher's background fetches share.
         """
-        learner = self.learner
-        if learner.learn_mode != "deferred" or not learner.learn_queue_depth:
-            return 0
-        span = trace.start_span("learn_drain") if trace is not None else None
-        with PERF.stage("proxy.learn_drain"):
-            ready_list = learner.drain_learn_queue(budget=budget)
-        if span is not None:
-            trace.end_span(span, completed=len(ready_list))
-        if trace is not None:
-            for ready in ready_list:
-                span = trace.start_span(
-                    "prefetch_issue", site=ready.instance.signature.site
-                )
-                outcome = self.prefetcher.submit(ready)
-                trace.end_span(span, outcome=outcome)
-        else:
-            for ready in ready_list:
-                self.prefetcher.submit(ready)
-        return len(ready_list)
+        return self.prefetcher.pump_learning(trace, budget)
 
     def _miss_cause(
         self,

@@ -4,7 +4,7 @@ The registry merge that folds fleet-worker snapshots back into the
 supervisor (PR 7) matches series by *string name*; a typo'd name
 doesn't crash, it silently forks a series nothing ever reads.  These
 rules statically extract the name at every ``PERF``/``REGISTRY``/
-tracer call site and check it against
+``stage()``/tracer call site and check it against
 :mod:`repro.metrics.catalog`:
 
 ``met-undeclared-name``
@@ -21,9 +21,10 @@ tracer call site and check it against
     a label value built by f-string/``format``/concatenation — the
     classic cardinality leak (per-request ids as labels).
 
-Sink detection is by receiver-name heuristics (``PERF.incr``,
-``*.registry.inc``, ``trace.start_span``, ``TRACER.begin``,
-``*.windows.inc``/``observe`` for the live rolling-window plane), so
+Sink detection is by name heuristics (``PERF.incr``, ``*.registry.inc``,
+``stage(trace, name)`` against the catalog's stage table,
+``trace.mark``, ``TRACER.begin``, ``*.windows.inc``/``observe`` for
+the live rolling-window plane), so
 renaming a local ``registry`` to ``r`` opts a call site out — the
 meta-test pins the heuristics against the real tree to keep that
 honest.  (The live plane also refuses undeclared names at runtime —
@@ -176,8 +177,9 @@ class MetricsHygieneRule(Rule):
         "met-unbounded-label",
     )
     description = (
-        "metric/span/label names at PERF/registry/tracer call sites must "
-        "match repro.metrics.catalog; label cardinality must be bounded"
+        "metric/stage/span/label names at PERF/registry/stage()/tracer "
+        "call sites must match repro.metrics.catalog; label cardinality "
+        "must be bounded"
     )
     profiles = frozenset({SIM, CORE})
     node_types = (ast.Call,)
@@ -185,6 +187,10 @@ class MetricsHygieneRule(Rule):
     # -- dispatch -------------------------------------------------------
     def visit(self, node: ast.Call, ctx: ModuleContext) -> Iterable[Finding]:
         func = node.func
+        if _last_segment(ctx.resolve_dotted(func)) == "stage":
+            arg = node.args[1] if len(node.args) > 1 else _kwarg(node, "name")
+            return self._check_vocab(
+                node, ctx, tuple(catalog.STAGES), "stage name", arg)
         if not isinstance(func, ast.Attribute):
             return ()
         receiver = _last_segment(ctx.resolve_dotted(func.value))
@@ -192,18 +198,16 @@ class MetricsHygieneRule(Rule):
         attr = func.attr
         if attr in ("incr", "peak", "get") and receiver == "perf":
             return self._check_counter(node, ctx)
-        if attr == "stage" and receiver == "perf":
-            return self._check_vocab(
-                node, ctx, catalog.PERF_STAGES, "PERF.stage name")
         if attr in ("inc", "observe", "set_gauge") and "registry" in receiver_dotted:
             return self._check_registry(node, ctx)
         if attr in ("inc", "observe") and (
                 "windows" in receiver_dotted or receiver == "windows"):
             return self._check_window(node, ctx)
-        if attr in ("start_span", "span") and (
+        if attr == "mark" and (
                 "trace" in receiver or receiver in ("ctx", "context")):
             return self._check_vocab(
-                node, ctx, catalog.SPAN_STAGES, "span stage")
+                node, ctx, catalog.SPAN_STAGES, "span stage",
+                self._name_arg(node))
         if attr == "begin" and "tracer" in receiver:
             return self._check_kind(node, ctx)
         return ()
@@ -243,8 +247,8 @@ class MetricsHygieneRule(Rule):
         )]
 
     def _check_vocab(self, node: ast.Call, ctx: ModuleContext,
-                     vocabulary: Tuple[str, ...], what: str) -> List[Finding]:
-        arg = self._name_arg(node)
+                     vocabulary: Tuple[str, ...], what: str,
+                     arg: Optional[ast.expr]) -> List[Finding]:
         if arg is None:
             return []
         kind, value = resolve_static_string(arg, ctx, node)

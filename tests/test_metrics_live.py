@@ -207,3 +207,16 @@ def test_standard_readings_shape_and_hit_rate():
     assert readings["request_rate"] == pytest.approx(2 / windows.window_s)
     assert readings["overflow"] == 0
     assert readings["request_p50_ms"] > 0
+
+
+def test_learn_window_folds_the_learn_drain_timer():
+    # W_LEARN is the deferred learn-drain window: over a run shorter
+    # than the window it must count every drain pump, not the O(1)
+    # request-path enqueues the proxy.learn timer covers
+    from repro.experiments.scale import run_scale
+
+    row = run_scale(users=20, duration=3.0, seed=3, telemetry=True)
+    assert 3.0 < row["live"]["readings"]["window_s"]
+    drains = row["stage_latency_us"]["proxy.learn_drain"]["count"]
+    assert row["live"]["readings"]["learn_events"] == drains
+    assert drains != row["stage_latency_us"]["proxy.learn"]["count"]

@@ -34,7 +34,6 @@ _OPS = st.lists(
         st.tuples(st.just("inc"), _NAMES, st.integers(1, 100), _LABELS),
         st.tuples(st.just("gauge"), st.just("depth"), st.floats(0, 1e6), _LABELS),
         st.tuples(st.just("observe"), st.just("stage_seconds"), _DYADIC, _LABELS),
-        st.tuples(st.just("timing"), st.just("proxy.learn"), _DYADIC, st.none()),
     ),
     max_size=30,
 )
@@ -47,10 +46,8 @@ def _registry_from(ops) -> MetricRegistry:
             registry.inc(name, value, labels=labels)
         elif op == "gauge":
             registry.set_gauge(name, value, labels=labels)
-        elif op == "observe":
-            registry.observe(name, value, labels=labels)
         else:
-            registry.timings[name] = registry.timings.get(name, 0.0) + value
+            registry.observe(name, value, labels=labels)
     return registry
 
 
@@ -171,17 +168,6 @@ def test_merge_respects_target_cardinality_guard():
     ]
     assert len(per_label) <= 3
     assert target.counters.get(series_key("hits", {"overflow": "true"}), 0) >= 5
-
-
-def test_timings_add():
-    a = MetricRegistry()
-    a.timings["proxy.learn"] = 1.5
-    b = MetricRegistry()
-    b.timings["proxy.learn"] = 0.5
-    b.timings["proxy.dispatch"] = 0.25
-    a.merge(b.snapshot())
-    assert a.timings["proxy.learn"] == pytest.approx(2.0)
-    assert a.timings["proxy.dispatch"] == pytest.approx(0.25)
 
 
 def test_default_buckets_round_trip():

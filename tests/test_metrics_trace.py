@@ -10,7 +10,7 @@ from repro.device.runtime import AppRuntime
 from repro.httpmsg.body import JsonBody
 from repro.httpmsg.message import Request, Response
 from repro.httpmsg.uri import Uri
-from repro.metrics.perf import PerfCounters
+from repro.metrics.perf import PERF, PerfCounters, stage
 from repro.metrics.registry import (
     Histogram,
     MetricRegistry,
@@ -116,7 +116,6 @@ def test_perf_facade_aliases_registry_stores():
     perf.incr("x")
     assert perf.registry.counters["x"] == 1
     assert perf.counters is perf.registry.counters
-    assert perf.timings is perf.registry.timings
     perf.reset()
     # reset clears in place, the aliases stay live
     assert perf.counters is perf.registry.counters
@@ -124,14 +123,14 @@ def test_perf_facade_aliases_registry_stores():
 
 
 def test_perf_merge_folds_timings_and_histograms():
-    worker = PerfCounters()
-    worker.enabled = True
-    worker.incr("cells", 2)
-    worker.incr("rss_peak", 100)
-    with worker.stage("pass"):
-        pass
-    snapshot = worker.snapshot()
-    assert "timings_s" in snapshot and "pass" in snapshot["timings_s"]
+    with PERF.capture() as worker:
+        worker.incr("cells", 2)
+        worker.incr("rss_peak", 100)
+        with stage(None, "pass"):
+            pass
+        snapshot = worker.snapshot()
+    key = 'stage_seconds{stage="pass"}'
+    assert snapshot["histograms"][key]["count"] == 1
 
     parent = PerfCounters()
     parent.enabled = True
@@ -141,20 +140,80 @@ def test_perf_merge_folds_timings_and_histograms():
     assert parent.counters["cells"] == 4
     assert parent.counters["rss_peak"] == 250  # *_peak max-merges
     # worker stage timings fold into the parent instead of vanishing
-    assert parent.timings["pass"] == pytest.approx(
-        2 * snapshot["timings_s"]["pass"]
-    )
     merged = parent.registry.histogram("stage_seconds", {"stage": "pass"})
     assert merged is not None and merged.count == 2
+    assert merged.sum == pytest.approx(2 * snapshot["histograms"][key]["sum"])
 
 
-def test_perf_merge_accepts_legacy_plain_counter_dict():
-    parent = PerfCounters()
-    parent.enabled = True
-    parent.merge({"cells": 3, "rss_peak": 9})
-    parent.merge({"cells": 1, "rss_peak": 4})
-    assert parent.counters["cells"] == 4
-    assert parent.counters["rss_peak"] == 9
+# ======================================================================
+# stage(): one call feeds the timer and the span
+# ======================================================================
+def test_stage_feeds_timer_and_span_from_one_call():
+    context = TraceContext("t1", "alice")
+    with PERF.capture():
+        with stage(context, "match", signature="s#0") as step:
+            step.tag(outcome="hit")
+        timer = PERF.registry.histogram("stage_seconds", {"stage": "proxy.dispatch"})
+    assert timer is not None and timer.count == 1
+    (span,) = context.spans
+    assert span.name == "match"
+    assert span.tags == {"signature": "s#0", "outcome": "hit"}
+    # one clock pair serves both
+    assert span.wall_s == timer.sum
+
+
+def test_stage_respects_declared_halves():
+    context = TraceContext("t1", "alice")
+    with PERF.capture():
+        with stage(context, "proxy.learn"):  # timer only
+            pass
+        with stage(context, "store"):  # span only
+            pass
+        stages = {
+            labels["stage"]: histogram.count
+            for labels, histogram in PERF.registry.series("stage_seconds")
+        }
+    assert stages == {"proxy.learn": 1}
+    assert [span.name for span in context.spans] == ["store"]
+    with pytest.raises(KeyError):
+        stage(context, "mtach")
+
+
+def test_stage_records_nothing_when_off():
+    assert not PERF.enabled
+    before = PERF.registry.snapshot()
+    with stage(None, "match") as step:
+        step.tag(outcome="hit")
+    assert PERF.registry.snapshot() == before
+
+
+def test_stage_cut_short_files_timer_but_no_span():
+    context = TraceContext("t1", "alice")
+    with PERF.capture():
+        with pytest.raises(RuntimeError):
+            with stage(context, "cache_lookup"):
+                raise RuntimeError("boom")
+        timer = PERF.registry.histogram(
+            "stage_seconds", {"stage": "proxy.cache_lookup"}
+        )
+    assert timer is not None and timer.count == 1
+    assert context.spans == []
+
+
+def test_stage_held_across_a_yield_measures_the_suspension():
+    sim = Simulator()
+    context = TraceContext("t1", "alice", sim_clock=lambda: sim.now)
+
+    def fetch():
+        with stage(context, "origin_fetch") as step:
+            yield Delay(0.25)
+            step.tag(bytes=512)
+
+    sim.spawn(fetch())
+    sim.run()
+    (span,) = context.to_record()["spans"]
+    assert span["sim_ms"] == pytest.approx(250.0)
+    assert span["tags"] == {"bytes": 512}
 
 
 # ======================================================================
@@ -203,8 +262,8 @@ def test_tracer_feeds_registry_span_histograms():
     tracer = Tracer().configure(registry=registry)
     tracer.enable()
     context = tracer.begin("alice")
-    span = context.start_span("cache_lookup")
-    context.end_span(span, outcome="miss_absent", shard="alice")
+    with stage(context, "cache_lookup", outcome="miss_absent", shard="alice"):
+        pass
     tracer.finish(context)
     histogram = registry.histogram("span_wall_seconds", {"stage": "cache_lookup"})
     assert histogram is not None and histogram.count == 1
@@ -216,10 +275,17 @@ def test_tracer_feeds_registry_span_histograms():
 def test_trace_context_records_sim_time():
     clock = [10.0]
     context = TraceContext("t1", "alice", sim_clock=lambda: clock[0])
-    span = context.start_span("origin_fetch")
-    clock[0] = 10.25
-    context.end_span(span, bytes=512)
+    with stage(context, "origin_fetch") as step:
+        clock[0] = 10.25
+        step.tag(bytes=512)
+    context.mark("cache_lookup", outcome="passthrough")
     record = context.to_record()
+    assert record["spans"][1] == {
+        "name": "cache_lookup",
+        "wall_us": 0.0,
+        "sim_ms": 0.0,
+        "tags": {"outcome": "passthrough"},
+    }
     assert record["spans"][0]["sim_ms"] == pytest.approx(250.0)
     assert record["spans"][0]["tags"]["bytes"] == 512
 
@@ -228,10 +294,10 @@ def test_export_jsonl_round_trips_through_validation(tmp_path):
     tracer = Tracer().configure()
     tracer.enable()
     context = tracer.begin("alice", app="wish")
-    with context.span("match"):
+    with stage(context, "match"):
         pass
-    span = context.start_span("cache_lookup")
-    context.end_span(span, outcome="hit", signature="s#0", shard="alice")
+    with stage(context, "cache_lookup") as step:
+        step.tag(outcome="hit", signature="s#0", shard="alice")
     tracer.finish(context)
     path = str(tmp_path / "trace.jsonl")
     assert tracer.export_jsonl(path) == 1

@@ -98,16 +98,11 @@ def test_top_level_imports():
         load_signatures,
         render_report,
     )
-    from repro.proxy import (
-        AccelerationProxy,
-        MultiAppProxy,
-        PopularityTracker,
-        Refresher,
-    )
+    from repro.proxy import AccelerationProxy, MultiAppProxy, PopularityTracker
 
     assert repro.__version__
     assert callable(analyze_apk)
     assert callable(dump_signatures) and callable(load_signatures)
     assert callable(render_report)
-    for symbol in (AccelerationProxy, MultiAppProxy, PopularityTracker, Refresher):
+    for symbol in (AccelerationProxy, MultiAppProxy, PopularityTracker):
         assert symbol is not None

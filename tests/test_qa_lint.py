@@ -192,11 +192,13 @@ def test_seed_provenance_accepts_loop_variable_seeds():
 # ======================================================================
 def test_declared_counter_and_stage_pass():
     ids = rule_ids("""
-        from repro.metrics.perf import PERF
+        from repro.metrics.perf import PERF, stage
 
-        def hot(request):
+        def hot(request, trace):
             PERF.incr("matcher.requests")
-            with PERF.stage("proxy.dispatch"):
+            with stage(trace, "match"):
+                pass
+            with stage(trace, "proxy.learn"):
                 pass
     """)
     assert ids == []
@@ -258,13 +260,21 @@ def test_label_dict_resolved_through_local_assignment():
 
 def test_span_stage_and_trace_kind_vocabulary():
     ids = rule_ids("""
+        from repro.metrics.perf import stage
+
         def trace_it(trace, TRACER, user):
-            trace.start_span("match")
-            trace.start_span("mtach")
+            with stage(trace, "match"):
+                pass
+            with stage(trace, "mtach"):
+                pass
+            with stage(trace, "proxy.dispatch"):  # a timer, not a stage
+                pass
+            trace.mark("cache_lookup", outcome="passthrough")
+            trace.mark("cache_lokup", outcome="passthrough")
             TRACER.begin(user, kind="prefetch")
             TRACER.begin(user, kind="prefetchh")
     """)
-    assert ids == ["met-undeclared-name", "met-undeclared-name"]
+    assert ids == ["met-undeclared-name"] * 4
 
 
 def test_parameter_forwarding_is_allowed():
@@ -578,15 +588,17 @@ def test_sink_heuristics_still_match_real_call_shapes():
     honest.
     """
     real_shapes = """
-        from repro.metrics.perf import PERF
+        from repro.metrics.perf import PERF, stage
         from repro.metrics.trace import TRACER
 
         def serve(user, registry, trace):
             PERF.incr("matcher.reqests")
             PERF.registry.inc("prefetch_hitz", labels={"signature": user})
             registry.observe("span_wall_secondz", 0.1, labels={"stage": "learn"})
-            trace.start_span("mtach")
+            with stage(trace, "mtach", signature=user) as step:
+                step.tag(outcome="hit")
+            trace.mark("cache_lokup", outcome="passthrough", shard=user)
             TRACER.begin(user, kind="requestt")
     """
     ids = rule_ids(real_shapes)
-    assert ids.count("met-undeclared-name") == 5
+    assert ids.count("met-undeclared-name") == 6
