@@ -21,7 +21,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from typing import List, Optional
 
@@ -220,6 +219,7 @@ def _print_heartbeat(shard, payload, tracker=None) -> None:
 
 
 def _command_scale(args) -> int:
+    from repro.experiments.fleet import FleetWorkerError
     from repro.experiments.scale import (
         format_strategy_table,
         run_scale_sweep,
@@ -309,15 +309,6 @@ def _command_scale(args) -> int:
     telemetry_on = (
         args.telemetry or slo_config is not None or heartbeat_interval is not None
     )
-    telemetry_kwargs = dict(
-        warm_start=args.warm_start,
-        learn_queue_capacity=args.learn_queue_capacity,
-        learn_drain_budget=args.learn_drain_budget,
-        telemetry=args.telemetry,
-        slo_config=slo_config,
-        heartbeat_interval=heartbeat_interval,
-        backpressure=not args.no_backpressure,
-    )
     policy_kwargs = dict(
         max_entries_per_user=args.max_entries_per_user,
         max_entries_total=args.max_entries_total,
@@ -342,60 +333,23 @@ def _command_scale(args) -> int:
                 handle.write("\n")
             print("wrote comparison to {}".format(args.output))
         return 0
+    serve_kwargs = {}
     if args.workers > 1:
-        from repro.experiments.fleet import FleetWorkerError, run_fleet
-
-        rows = []
-        try:
-            for count in args.users:
-                cell_trace = args.trace
-                if args.trace is not None and len(args.users) > 1:
-                    stem, ext = os.path.splitext(args.trace)
-                    cell_trace = "{}-{}{}".format(stem, count, ext or ".jsonl")
-                rows.append(
-                    run_fleet(
-                        count,
-                        args.duration,
-                        workers=args.workers,
-                        apps=args.apps,
-                        rate_per_user=args.rate,
-                        seed=args.seed,
-                        trace_path=cell_trace,
-                        trace_sample=args.trace_sample,
-                        trace_seed=args.trace_seed,
-                        strategy=args.strategy,
-                        worker_timeout=args.worker_timeout,
-                        prom_path=args.prom,
-                        heartbeat_log=(
-                            _print_heartbeat
-                            if heartbeat_interval is not None
-                            else None
-                        ),
-                        **telemetry_kwargs,
-                        **policy_kwargs,
-                    )
-                )
-        except FleetWorkerError as error:
-            print("scale: {}".format(error), file=sys.stderr)
-            return 1
-        smallest, largest = rows[0], rows[-1]
-        result = {
-            "rows": rows,
-            "derived": {
-                "smallest_users": smallest["users"],
-                "largest_users": largest["users"],
-                "per_request_cost_ratio": (
-                    largest["per_request_wall_us"]
-                    / smallest["per_request_wall_us"]
-                    if smallest["per_request_wall_us"]
-                    else float("inf")
-                ),
-            },
-        }
-    else:
+        serve_kwargs = dict(
+            worker_timeout=args.worker_timeout,
+            prom_path=args.prom,
+            heartbeat_log=_print_heartbeat,
+        )
+    elif heartbeat_interval is not None:
+        serve_kwargs = dict(
+            heartbeat_sink=lambda payload: _print_heartbeat(payload.get("shard"), payload),
+            shard=0,
+        )
+    try:
         result = run_scale_sweep(
             args.users,
             default_duration=args.duration,
+            workers=args.workers,
             apps=args.apps,
             rate_per_user=args.rate,
             seed=args.seed,
@@ -403,15 +357,19 @@ def _command_scale(args) -> int:
             trace_sample=args.trace_sample,
             trace_seed=args.trace_seed,
             strategy=args.strategy,
-            heartbeat_sink=(
-                (lambda payload: _print_heartbeat(payload.get("shard"), payload))
-                if heartbeat_interval is not None
-                else None
-            ),
-            shard=0 if heartbeat_interval is not None else None,
-            **telemetry_kwargs,
+            warm_start=args.warm_start,
+            learn_queue_capacity=args.learn_queue_capacity,
+            learn_drain_budget=args.learn_drain_budget,
+            telemetry=args.telemetry,
+            slo_config=slo_config,
+            heartbeat_interval=heartbeat_interval,
+            backpressure=not args.no_backpressure,
+            **serve_kwargs,
             **policy_kwargs,
         )
+    except FleetWorkerError as error:
+        print("scale: {}".format(error), file=sys.stderr)
+        return 1
     header = (
         "{:>8} {:>9} {:>9} {:>11} {:>9} {:>9} {:>9} {:>7} {:>9} {:>9}".format(
             "users", "requests", "wall_s", "us/request", "events/s",
@@ -584,9 +542,9 @@ def _print_stage_table(stage_latency) -> None:
             "{:<28} {:>9} {:>11.1f} {:>11.1f} {:>11.1f}".format(
                 stage,
                 row["count"],
-                row.get("p50_us", row.get("wall_us_p50", 0.0)),
-                row.get("p95_us", row.get("wall_us_p95", 0.0)),
-                row.get("p99_us", row.get("wall_us_p99", 0.0)),
+                row["p50_us"],
+                row["p95_us"],
+                row["p99_us"],
             )
         )
 

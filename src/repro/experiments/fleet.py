@@ -46,6 +46,8 @@ the honest denominator for the scale-out gate in
 
 from __future__ import annotations
 
+import functools
+import inspect
 import multiprocessing
 import os
 import queue as queue_module
@@ -54,15 +56,15 @@ import time
 import traceback
 from bisect import bisect_right
 from hashlib import blake2b
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.experiments.cache import ENV_ENABLE
-from repro.experiments.parallel import init_worker_env
 from repro.experiments.scale import (
-    DEFAULT_APPS,
-    DEFAULT_RATE_PER_USER,
+    SUMMED_KEYS,
+    TRACE_CAPACITY,
     ArrivalSchedule,
     _ScaleDeployment,
+    append_summary_record,
+    finish_row,
     miss_causes_from_counters,
     run_scale,
     stage_latency_from_registry,
@@ -71,13 +73,20 @@ from repro.metrics.live import LiveWindows, standard_readings
 from repro.metrics.perf import PERF
 from repro.metrics.registry import MetricRegistry
 from repro.metrics.slo import SloEngine
-from repro.metrics.stats import percentile
 from repro.metrics.trace import TRACER
 
 #: virtual nodes per shard on the hash ring — enough that the largest
 #: shard stays within a few percent of the mean at fleet sizes ≤ 16
 DEFAULT_REPLICAS = 64
 DEFAULT_WORKER_TIMEOUT_S = 300.0
+
+_RUN_SIGNATURE = inspect.signature(run_scale)
+#: the run_scale arguments that shape the deployment it builds
+_DEPLOY_ARGS = tuple(
+    name
+    for name in inspect.signature(_ScaleDeployment).parameters
+    if name in _RUN_SIGNATURE.parameters
+)
 
 
 # ======================================================================
@@ -120,13 +129,9 @@ class ConsistentHashRing:
         return self._owners[index]
 
 
-def shard_users(
-    users: int, workers: int, replicas: int = DEFAULT_REPLICAS
-) -> List[int]:
+def shard_users(users: int, workers: int) -> List[int]:
     """``assignment[user_index] -> shard`` for the whole population."""
-    if workers == 1:
-        return [0] * users
-    ring = ConsistentHashRing(workers, replicas)
+    ring = ConsistentHashRing(workers)
     return [ring.shard_for("u{}".format(index)) for index in range(users)]
 
 
@@ -201,7 +206,42 @@ def _describe_shard(shard: int, members: Sequence[int]) -> str:
 # ======================================================================
 # worker process
 # ======================================================================
-def _fleet_worker(spec: Dict[str, object], barrier, results) -> None:
+def _serve_shard(
+    spec: Dict[str, object],
+    shard: int,
+    deployment: _ScaleDeployment,
+    schedule: ArrivalSchedule,
+    sink: Optional[Callable[[Dict[str, object]], None]],
+) -> Dict[str, object]:
+    """Serve one shard's schedule with ``run_scale``'s arguments ``spec``;
+    returns the shard's fold-back payload (row, registry, trace ring).
+
+    The one place the fleet serves: the inline ``workers=1`` path and
+    every worker process call it the same way.
+    """
+    row = run_scale(
+        **dict(
+            spec,
+            arrival_schedule=schedule,
+            collect_latencies=True,
+            shard=shard,
+            heartbeat_sink=sink,
+            _deployment=deployment,
+        )
+    )
+    return {
+        "row": row,
+        "registry": PERF.registry.snapshot(),
+        "trace_records": TRACER.records() if spec["trace_sample"] is not None else [],
+    }
+
+
+def _deploy(spec: Dict[str, object]) -> _ScaleDeployment:
+    """The deployment ``run_scale`` would build from ``spec``."""
+    return _ScaleDeployment(**{name: spec[name] for name in _DEPLOY_ARGS})
+
+
+def _fleet_worker(job: Dict[str, object], barrier, results) -> None:
     """One shard's serve loop: build, sync, serve, send ONE payload.
 
     Any exception lands on the result queue as an ``("error", shard,
@@ -211,72 +251,36 @@ def _fleet_worker(spec: Dict[str, object], barrier, results) -> None:
     all), ``raise`` fails with a traceback, ``hang`` sleeps through the
     supervisor's deadline.
     """
-    shard = int(spec["shard"])
+    shard = job["shard"]
     try:
-        failure = spec.get("inject_failure") or {}
+        failure = job["inject_failure"] or {}
         mode = failure.get("mode") if failure.get("shard") == shard else None
         if mode == "crash":
             os._exit(3)
         if mode == "raise":
             raise RuntimeError("injected failure on shard {}".format(shard))
-        init_worker_env(spec.get("cache_env"))
-        deployment = _ScaleDeployment(tuple(spec["apps"]), **spec["deploy_kwargs"])
-        schedule = ArrivalSchedule(
-            spec["events"],
-            spec["terminal_dt"],
-            spec["users"],
-            spec["duration"],
-            spec["rate_per_user"],
-            spec["seed"],
-        )
+        spec = job["spec"]
+        deployment = _deploy(spec)
         if mode == "hang":
             # repro-lint: disable=det-wall-clock -- robustness-test hook: the injected hang must outlast the supervisor's real deadline, so a host sleep is the point
             time.sleep(3600.0)
         try:
-            barrier.wait(spec["worker_timeout"])
+            barrier.wait(job["worker_timeout"])
         except threading.BrokenBarrierError:
             # another worker failed (it aborted the barrier) or the
             # supervisor timed the startup out — this worker is only a
             # secondary victim: exit clean so diagnosis blames the
             # shard that actually broke, not this one
             raise SystemExit(0)
-        heartbeat_interval = spec.get("heartbeat_interval")
-        heartbeat_sink = None
-        if heartbeat_interval is not None:
+        sink = None
+        if spec["heartbeat_interval"] is not None:
             # heartbeats piggyback on the one existing supervisor
             # channel: compact ("hb", shard, payload) messages between
             # the serve start and the final ("ok", shard, payload)
-            def heartbeat_sink(payload):
+            def sink(payload):
                 results.put(("hb", shard, payload))
 
-        row = run_scale(
-            users=int(spec["users"]),
-            duration=float(spec["duration"]),
-            apps=tuple(spec["apps"]),
-            rate_per_user=float(spec["rate_per_user"]),
-            seed=int(spec["seed"]),
-            access_rtt=float(spec["access_rtt"]),
-            trace_sample=spec["trace_sample"],
-            trace_seed=int(spec["trace_seed"]),
-            trace_capacity=int(spec["trace_capacity"]),
-            estimate_expiration=bool(spec["estimate_expiration"]),
-            warm_start=bool(spec["warm_start"]),
-            arrival_schedule=schedule,
-            collect_latencies=True,
-            telemetry=bool(spec.get("telemetry")),
-            slo_config=spec.get("slo_config"),
-            heartbeat_interval=heartbeat_interval,
-            heartbeat_sink=heartbeat_sink,
-            shard=shard,
-            backpressure=bool(spec.get("backpressure", True)),
-            _deployment=deployment,
-            **spec["deploy_kwargs"],
-        )
-        payload = {
-            "row": row,
-            "registry": PERF.registry.snapshot(),
-            "trace_records": TRACER.records() if spec["trace_sample"] is not None else [],
-        }
+        payload = _serve_shard(spec, shard, deployment, job["schedule"], sink)
         results.put(("ok", shard, payload))
     except BaseException as error:
         if isinstance(error, SystemExit) and error.code == 0:
@@ -378,25 +382,38 @@ class HeartbeatTracker:
         }
 
 
+def _file_message(
+    message: Tuple[str, int, object],
+    collected: Dict[int, Dict],
+    errors: Dict[int, str],
+    heartbeats: Optional[HeartbeatTracker],
+) -> None:
+    """File one worker message: a payload, a heartbeat, or an error."""
+    kind, shard, payload = message
+    if kind == "ok":
+        collected[shard] = payload
+    elif kind == "hb":
+        # mid-run liveness: fold the heartbeat immediately so a
+        # lagging shard surfaces while the fleet is still serving
+        if heartbeats is not None:
+            heartbeats.record(shard, payload)
+    else:
+        errors[shard] = payload
+
+
 def _drain_queue(
     results,
     collected: Dict[int, Dict],
     errors: Dict[int, str],
-    heartbeats: Optional[HeartbeatTracker] = None,
+    heartbeats: Optional[HeartbeatTracker],
 ) -> None:
     """Pull whatever the result queue has right now (post-failure sweep)."""
     while True:
         try:
-            kind, shard, payload = results.get(timeout=0.2)
+            message = results.get(timeout=0.2)
         except queue_module.Empty:
             return
-        if kind == "ok":
-            collected[shard] = payload
-        elif kind == "hb":
-            if heartbeats is not None:
-                heartbeats.record(shard, payload)
-        else:
-            errors[shard] = payload
+        _file_message(message, collected, errors, heartbeats)
 
 
 def _raise_worker_failure(
@@ -473,45 +490,30 @@ def run_fleet(
     users: int,
     duration: float,
     workers: int = 1,
-    apps: Sequence[str] = DEFAULT_APPS,
-    rate_per_user: float = DEFAULT_RATE_PER_USER,
-    seed: int = 0,
-    max_entries_per_user: Optional[int] = None,
-    max_bytes: Optional[int] = None,
-    access_rtt: float = 0.055,
     trace_path: Optional[str] = None,
-    trace_sample: Optional[float] = None,
-    trace_seed: int = 0,
-    trace_capacity: int = 65_536,
-    strategy: str = "appx",
-    max_entries_total: Optional[int] = None,
-    adaptive_budget: bool = False,
-    admission_threshold: Optional[float] = None,
-    estimate_expiration: bool = False,
-    warm_start: bool = False,
-    learn_mode: str = "deferred",
-    learn_queue_capacity: Optional[int] = None,
-    learn_drain_budget: Optional[int] = None,
-    telemetry: bool = False,
-    slo_config: Optional[Dict[str, object]] = None,
-    heartbeat_interval: Optional[float] = None,
     heartbeat_log=None,
-    backpressure: bool = True,
-    replicas: int = DEFAULT_REPLICAS,
     worker_timeout: float = DEFAULT_WORKER_TIMEOUT_S,
     prom_path: Optional[str] = None,
     inject_failure: Optional[Dict[str, object]] = None,
+    **run_kwargs,
 ) -> Dict[str, object]:
     """Serve one seeded scale workload across ``workers`` proxy processes.
+
+    ``run_kwargs`` are :func:`~repro.experiments.scale.run_scale`'s own
+    arguments, bound against its signature once (an unknown name raises
+    :class:`TypeError` before any worker starts) and handed to every
+    shard as they are.  Per shard the fleet sets only the shard's share
+    of ``max_entries_total``, its ``trace_seed``, its partition of the
+    arrival schedule, and the plumbing (``collect_latencies``,
+    ``shard``, ``heartbeat_sink``, the pre-built deployment).
 
     The supervisor consistent-hashes users onto shards, pre-draws the
     global arrival schedule with the run seed, partitions it per shard,
     and hands each worker its slice plus its own cache budget share.
     Workers build their deployments, meet on a barrier, serve, and send
     one batched payload back; the supervisor folds every payload into a
-    single aggregate row whose shape matches
-    :func:`~repro.experiments.scale.run_scale` plus ``workers``,
-    ``fleet``, and ``shards`` keys.
+    single aggregate row whose shape matches ``run_scale``'s plus
+    ``workers``, ``heartbeats``, ``fleet``, and ``shards`` keys.
 
     ``workers=1`` serves inline (no subprocess) replaying the identity
     partition — byte-equivalent to the serial harness under the same
@@ -524,7 +526,9 @@ def run_fleet(
     phase; a worker that crashes, raises, or hangs surfaces as
     :class:`FleetWorkerError` naming the lost shard's user slice.
     ``inject_failure`` (``{"shard": s, "mode": "crash"|"raise"|"hang"}``)
-    exists for the robustness tests.
+    exists for the robustness tests.  ``trace_path`` receives the
+    trace rings of every shard, folded; ``prom_path`` the folded
+    registry.
 
     The live telemetry plane (``telemetry`` / ``slo_config`` /
     ``heartbeat_interval``, see :func:`run_scale`) runs *per shard*;
@@ -537,8 +541,12 @@ def run_fleet(
     :meth:`LiveWindows.merge` — the same bucket-aligned fold-back
     semantics as ``registry.merge``), ``slo`` (the merged-window
     verdict plus per-shard passes), ``backpressure`` (summed actuation
-    counters), and ``heartbeats`` (the tracker summary).
+    counters, per-proxy budgets and thresholds in shard order), and
+    ``heartbeats`` (the tracker summary).
     """
+    bound = _RUN_SIGNATURE.bind(users, duration, **run_kwargs)
+    bound.apply_defaults()
+    spec = dict(bound.arguments)
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if users < workers:
@@ -547,207 +555,90 @@ def run_fleet(
                 users, workers
             )
         )
-    apps = tuple(apps)
-    tracing = trace_path is not None or trace_sample is not None
-    effective_sample = 1.0 if trace_sample is None else trace_sample
-
-    deploy_kwargs = {
-        "max_entries_per_user": max_entries_per_user,
-        "max_bytes": max_bytes,
-        "max_entries_total": max_entries_total,
-        "adaptive_budget": adaptive_budget,
-        "admission_threshold": admission_threshold,
-        "strategy": strategy,
-        "learn_mode": learn_mode,
-        "learn_queue_capacity": learn_queue_capacity,
-        "learn_drain_budget": learn_drain_budget,
-    }
-    telemetry_on = (
-        telemetry or slo_config is not None or heartbeat_interval is not None
-    )
+    if trace_path is not None and spec["trace_sample"] is None:
+        # a trace file arms tracing at full rate, as it does in run_scale
+        spec["trace_sample"] = 1.0
     heartbeats: Optional[HeartbeatTracker] = None
-    if heartbeat_interval is not None:
+    if spec["heartbeat_interval"] is not None:
         heartbeats = HeartbeatTracker(
-            workers, heartbeat_interval, log=heartbeat_log
+            workers, spec["heartbeat_interval"], log=heartbeat_log
         )
 
     # the plan deployment provides per-app step counts for the schedule
     # draw; with one worker it also serves the workload inline
-    plan = _ScaleDeployment(apps, **deploy_kwargs)
+    plan = _deploy(spec)
+    apps = spec["apps"]
     user_app = [apps[index % len(apps)] for index in range(users)]
     schedule = plan.arrival_schedule(
-        user_app, duration, rate_per_user, seed, warm_start=warm_start
+        user_app, duration, spec["rate_per_user"], spec["seed"],
+        warm_start=spec["warm_start"],
     )
-    assignment = shard_users(users, workers, replicas)
+    assignment = shard_users(users, workers)
     members = _shard_members(assignment, workers)
     shard_schedules = partition_schedule(schedule, assignment, workers)
+    shard_specs = [dict(spec) for _ in range(workers)]
+    for shard, shard_spec in enumerate(shard_specs):
+        if spec["max_entries_total"] is not None:
+            # apportion the global entry budget by shard population so
+            # the fleet's total budget matches the serial run's
+            shard_spec["max_entries_total"] = max(
+                1, round(spec["max_entries_total"] * len(members[shard]) / users)
+            )
+        if workers > 1:
+            # one worker keeps the run's seed: its sample set is the
+            # serial run's
+            shard_spec["trace_seed"] = shard_seed(spec["trace_seed"], shard)
 
     if workers == 1:
-        inline_sink = None
-        if heartbeats is not None:
-            def inline_sink(payload):
-                heartbeats.record(0, payload)
-
-        row = run_scale(
-            users=users,
-            duration=duration,
-            apps=apps,
-            rate_per_user=rate_per_user,
-            seed=seed,
-            access_rtt=access_rtt,
-            trace_sample=effective_sample if tracing else None,
-            trace_seed=trace_seed,
-            trace_capacity=trace_capacity,
-            estimate_expiration=estimate_expiration,
-            warm_start=warm_start,
-            arrival_schedule=shard_schedules[0],
-            collect_latencies=True,
-            telemetry=telemetry,
-            slo_config=slo_config,
-            heartbeat_interval=heartbeat_interval,
-            heartbeat_sink=inline_sink,
-            shard=0,
-            backpressure=backpressure,
-            _deployment=plan,
-            **deploy_kwargs,
-        )
-        payloads = {
-            0: {
-                "row": row,
-                "registry": PERF.registry.snapshot(),
-                "trace_records": TRACER.records() if tracing else [],
-            }
-        }
-        wall_s = float(row["wall_s"])
+        sink = None if heartbeats is None else functools.partial(heartbeats.record, 0)
+        payloads = {0: _serve_shard(shard_specs[0], 0, plan, shard_schedules[0], sink)}
+        wall_s = float(payloads[0]["row"]["wall_s"])
     else:
-        payloads, wall_s = _run_worker_pool(
-            shard_schedules,
-            members,
-            users=users,
-            duration=duration,
-            workers=workers,
-            apps=apps,
-            rate_per_user=rate_per_user,
-            seed=seed,
-            access_rtt=access_rtt,
-            tracing=tracing,
-            effective_sample=effective_sample,
-            trace_seed=trace_seed,
-            trace_capacity=trace_capacity,
-            estimate_expiration=estimate_expiration,
-            warm_start=warm_start,
-            deploy_kwargs=deploy_kwargs,
-            max_entries_total=max_entries_total,
-            worker_timeout=worker_timeout,
-            inject_failure=inject_failure,
-            telemetry=telemetry,
-            slo_config=slo_config,
-            heartbeat_interval=heartbeat_interval,
-            backpressure=backpressure,
-            heartbeats=heartbeats,
-        )
+        jobs = [
+            {
+                "shard": shard,
+                "spec": shard_specs[shard],
+                "schedule": shard_schedules[shard],
+                "worker_timeout": worker_timeout,
+                "inject_failure": inject_failure,
+            }
+            for shard in range(workers)
+        ]
+        payloads, wall_s = _run_worker_pool(jobs, members, worker_timeout, heartbeats)
 
     return _aggregate(
         payloads,
         members,
+        spec,
         wall_s=wall_s,
-        users=users,
-        duration=duration,
-        workers=workers,
-        apps=apps,
-        rate_per_user=rate_per_user,
-        seed=seed,
-        replicas=replicas,
         worker_timeout=worker_timeout,
-        tracing=tracing,
-        effective_sample=effective_sample,
-        trace_seed=trace_seed,
-        trace_capacity=trace_capacity,
         trace_path=trace_path,
         prom_path=prom_path,
-        deploy_kwargs=deploy_kwargs,
         schedule_events=len(schedule),
-        slo_config=slo_config,
         heartbeats=heartbeats,
     )
 
 
 def _run_worker_pool(
-    shard_schedules: Sequence[ArrivalSchedule],
+    jobs: Sequence[Dict[str, object]],
     members: Sequence[Sequence[int]],
-    users: int,
-    duration: float,
-    workers: int,
-    apps: Sequence[str],
-    rate_per_user: float,
-    seed: int,
-    access_rtt: float,
-    tracing: bool,
-    effective_sample: float,
-    trace_seed: int,
-    trace_capacity: int,
-    estimate_expiration: bool,
-    warm_start: bool,
-    deploy_kwargs: Dict[str, object],
-    max_entries_total: Optional[int],
     worker_timeout: float,
-    inject_failure: Optional[Dict[str, object]],
-    telemetry: bool = False,
-    slo_config: Optional[Dict[str, object]] = None,
-    heartbeat_interval: Optional[float] = None,
-    backpressure: bool = True,
-    heartbeats: Optional[HeartbeatTracker] = None,
+    heartbeats: Optional[HeartbeatTracker],
 ) -> Tuple[Dict[int, Dict], float]:
     """Spawn, synchronize, and collect the worker fleet (workers > 1)."""
+    workers = len(jobs)
     try:
         context = multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX fallback
         context = multiprocessing.get_context()
     results = context.Queue()
     barrier = context.Barrier(workers + 1)
-    cache_env = os.environ.get(ENV_ENABLE) or None
-
-    specs = []
-    for shard in range(workers):
-        shard_kwargs = dict(deploy_kwargs)
-        if max_entries_total is not None:
-            # apportion the global entry budget by shard population so
-            # the fleet's total budget matches the serial run's
-            shard_kwargs["max_entries_total"] = max(
-                1, round(max_entries_total * len(members[shard]) / users)
-            )
-        specs.append(
-            {
-                "shard": shard,
-                "apps": list(apps),
-                "users": users,
-                "duration": duration,
-                "rate_per_user": rate_per_user,
-                "seed": seed,
-                "access_rtt": access_rtt,
-                "events": shard_schedules[shard].events,
-                "terminal_dt": shard_schedules[shard].terminal_dt,
-                "deploy_kwargs": shard_kwargs,
-                "trace_sample": effective_sample if tracing else None,
-                "trace_seed": shard_seed(trace_seed, shard),
-                "trace_capacity": trace_capacity,
-                "estimate_expiration": estimate_expiration,
-                "warm_start": warm_start,
-                "worker_timeout": worker_timeout,
-                "cache_env": cache_env,
-                "inject_failure": inject_failure,
-                "telemetry": telemetry,
-                "slo_config": slo_config,
-                "heartbeat_interval": heartbeat_interval,
-                "backpressure": backpressure,
-            }
-        )
 
     procs = [
         context.Process(
-            target=_fleet_worker, args=(spec, barrier, results), daemon=True
+            target=_fleet_worker, args=(job, barrier, results), daemon=True
         )
-        for spec in specs
+        for job in jobs
     ]
     collected: Dict[int, Dict] = {}
     errors: Dict[int, str] = {}
@@ -768,7 +659,7 @@ def _run_worker_pool(
         deadline = wall_started + worker_timeout
         while len(collected) < workers:
             try:
-                kind, shard, payload = results.get(timeout=0.25)
+                message = results.get(timeout=0.25)
             except queue_module.Empty:
                 crashed_silently = any(
                     shard not in collected and proc.exitcode not in (None, 0)
@@ -782,15 +673,8 @@ def _run_worker_pool(
                         errors, procs, collected, members, "serve"
                     )
                 continue
-            if kind == "ok":
-                collected[shard] = payload
-            elif kind == "hb":
-                # mid-run liveness: fold the heartbeat immediately so a
-                # lagging shard surfaces while the fleet is still serving
-                if heartbeats is not None:
-                    heartbeats.record(shard, payload)
-            else:
-                errors[shard] = payload
+            _file_message(message, collected, errors, heartbeats)
+            if errors:
                 _drain_queue(results, collected, errors, heartbeats)
                 _raise_worker_failure(errors, procs, collected, members, "serve")
         wall_s = time.perf_counter() - wall_started
@@ -809,45 +693,36 @@ def _run_worker_pool(
 def _aggregate(
     payloads: Dict[int, Dict],
     members: Sequence[Sequence[int]],
+    spec: Dict[str, object],
     wall_s: float,
-    users: int,
-    duration: float,
-    workers: int,
-    apps: Sequence[str],
-    rate_per_user: float,
-    seed: int,
-    replicas: int,
     worker_timeout: float,
-    tracing: bool,
-    effective_sample: float,
-    trace_seed: int,
-    trace_capacity: int,
     trace_path: Optional[str],
     prom_path: Optional[str],
-    deploy_kwargs: Dict[str, object],
     schedule_events: int,
-    slo_config: Optional[Dict[str, object]] = None,
-    heartbeats: Optional[HeartbeatTracker] = None,
+    heartbeats: Optional[HeartbeatTracker],
 ) -> Dict[str, object]:
-    """Fold worker payloads into one run_scale-shaped aggregate row."""
+    """Fold worker payloads into one run_scale-shaped aggregate row.
+
+    Shard 0's row is the template: its configuration keys are every
+    shard's, :data:`SUMMED_KEYS` are summed, :func:`finish_row`
+    recomputes the derived keys over all shards' latencies, and only
+    the tables, trace, live plane and fleet blocks fold here.
+    """
+    workers = len(members)
     rows = [payloads[shard]["row"] for shard in range(workers)]
 
     merged = MetricRegistry()
     for shard in range(workers):
         merged.merge(payloads[shard]["registry"])
 
-    latencies: List[float] = []
-    for row in rows:
-        latencies.extend(row.get("latencies_s") or [])
-
-    def total(key: str) -> int:
-        return sum(int(row[key]) for row in rows)
-
-    requests = total("requests")
-    served = total("served_prefetched")
-    forwarded = total("forwarded")
-    answered = served + forwarded
-    sim_events = total("sim_events")
+    aggregate = dict(rows[0])
+    del aggregate["latencies_s"]
+    for key in SUMMED_KEYS:
+        aggregate[key] = sum(int(row[key]) for row in rows)
+    aggregate["wall_s"] = wall_s
+    # shard rows report their share of the global entry budget
+    aggregate["max_entries_total"] = spec["max_entries_total"]
+    finish_row(aggregate, [value for row in rows for value in row["latencies_s"]])
 
     by_signature = _merge_int_tables([row["prefetch_by_signature"] for row in rows])
 
@@ -856,7 +731,7 @@ def _aggregate(
     if expiration_rows:
         expiration = {
             key: sum(int(cell[key]) for cell in expiration_rows)
-            for key in ("sites", "converged", "probes_issued", "disabled")
+            for key in expiration_rows[0]
         }
 
     history = None
@@ -864,20 +739,20 @@ def _aggregate(
         history = _merge_int_tables([row["history"] for row in rows])
 
     trace_stats: Optional[Dict[str, object]] = None
-    if tracing:
+    if spec["trace_sample"] is not None:
         shard_stats = [row["trace"] or {} for row in rows]
         trace_stats = {
             key: sum(int(stats.get(key, 0)) for stats in shard_stats)
             for key in ("started", "sampled", "finished", "dropped")
         }
-        trace_stats["sample_rate"] = effective_sample
-        trace_stats["capacity"] = trace_capacity
+        trace_stats["sample_rate"] = spec["trace_sample"]
+        trace_stats["capacity"] = TRACE_CAPACITY
         # the supervisor ring holds every worker's batch: capacity is
         # the fleet-wide sum so absorption itself never drops records
         TRACER.configure(
-            sample_rate=effective_sample,
-            capacity=max(1, trace_capacity * workers),
-            seed=trace_seed,
+            sample_rate=spec["trace_sample"],
+            capacity=TRACE_CAPACITY * workers,
+            seed=spec["trace_seed"],
         )
         absorbed = 0
         for shard in range(workers):
@@ -886,18 +761,7 @@ def _aggregate(
                 prefix="w{}".format(shard),
                 skip_kinds=("summary",),
             )
-        TRACER.append_record(
-            {
-                "trace_id": "summary",
-                "user": "-",
-                "kind": "summary",
-                "spans": [],
-                "tags": {
-                    "prefetch_by_signature": by_signature,
-                    "workers": workers,
-                },
-            }
-        )
+        append_summary_record(by_signature, workers=workers)
         trace_stats["absorbed"] = absorbed
         trace_stats["buffered"] = len(TRACER.records())
         if trace_path is not None:
@@ -908,13 +772,10 @@ def _aggregate(
     # Bucket indices are absolute (int(now // width)), so every shard's
     # windows share one virtual-time grid and merge bucket-wise exactly
     # like registry.merge — order-independent and associative.
-    live_rows = [row.get("live") for row in rows]
+    present = [row["live"] for row in rows if row["live"]]
     live_agg: Optional[Dict[str, object]] = None
     slo_agg: Optional[Dict[str, object]] = None
-    bp_rows = [row.get("backpressure") for row in rows]
-    bp_agg: Optional[Dict[str, object]] = None
-    if any(live_rows):
-        present = [live for live in live_rows if live]
+    if present:
         windows = LiveWindows.from_snapshot(present[0]["snapshot"])
         for live in present[1:]:
             windows.merge(live["snapshot"])
@@ -926,13 +787,13 @@ def _aggregate(
             "readings": standard_readings(windows, live_now),
             "snapshot": windows.snapshot(),
         }
-        if slo_config is not None:
+        if spec["slo_config"] is not None:
             # the fleet verdict re-runs the engine over the MERGED
             # windows (burn rates over fleet-wide bad/total), while
             # alert counts and per-shard passes come from the shards —
             # the supervisor never saw the mid-run transitions
             shard_reports = [row.get("slo") for row in rows]
-            slo_agg = SloEngine(slo_config).report(windows, live_now)
+            slo_agg = SloEngine(spec["slo_config"]).report(windows, live_now)
             slo_agg["alerts"] = sum(
                 int((report or {}).get("alerts", 0)) for report in shard_reports
             )
@@ -943,79 +804,37 @@ def _aggregate(
             slo_agg["passed"] = bool(slo_agg["passed"]) and all(
                 slo_agg["shard_passed"]
             )
-    if any(bp_rows):
+    # actuation counters add up; per-proxy lists (budgets, thresholds)
+    # concatenate in shard order
+    bp_rows = [row["backpressure"] for row in rows if row["backpressure"]]
+    bp_agg: Optional[Dict[str, object]] = None
+    if bp_rows:
         bp_agg = {
-            key: sum(int((stats or {}).get(key, 0)) for stats in bp_rows)
-            for key in (
-                "budget_grow",
-                "budget_shrink",
-                "admission_tighten",
-                "admission_relax",
+            key: (
+                [item for stats in bp_rows for item in stats[key]]
+                if isinstance(value, list)
+                else sum(int(stats[key]) for stats in bp_rows)
             )
+            for key, value in bp_rows[0].items()
         }
-        for key in ("drain_budgets", "base_budgets"):
-            bp_agg[key] = [
-                value for stats in bp_rows for value in (stats or {}).get(key, [])
-            ]
 
     if prom_path is not None:
         merged.dump_prometheus(prom_path)
 
-    aggregate: Dict[str, object] = {
-        "users": users,
-        "workers": workers,
-        "apps": list(apps),
-        "duration_s": duration,
-        "rate_per_user": rate_per_user,
-        "seed": seed,
-        "requests": requests,
-        "requests_sent": total("requests_sent"),
-        "wall_s": wall_s,
-        "per_request_wall_us": (1e6 * wall_s / requests) if requests else 0.0,
-        "requests_per_wall_s": (requests / wall_s) if wall_s else 0.0,
-        "sim_events": sim_events,
-        "sim_events_per_wall_s": (sim_events / wall_s) if wall_s else 0.0,
-        "latency_p50_ms": 1000 * percentile(latencies, 50) if latencies else 0.0,
-        "latency_p95_ms": 1000 * percentile(latencies, 95) if latencies else 0.0,
-        "latency_p99_ms": 1000 * percentile(latencies, 99) if latencies else 0.0,
-        "hit_rate": (served / answered) if answered else 0.0,
-        "served_prefetched": served,
-        "forwarded": forwarded,
-        "prefetch_issued": total("prefetch_issued"),
-        # per-shard peaks are not simultaneous; their sum is the upper
-        # bound on the fleet-wide peak, matching the budget apportioning
-        "peak_cache_entries": total("peak_cache_entries"),
-        "final_cache_entries": total("final_cache_entries"),
-        "cache_stored": total("cache_stored"),
-        "cache_expired_evictions": total("cache_expired_evictions"),
-        "cache_lru_evictions": total("cache_lru_evictions"),
-        "cache_wheel_purged": total("cache_wheel_purged"),
-        "peak_rss_bytes": total("peak_rss_bytes"),
-        "max_entries_per_user": deploy_kwargs["max_entries_per_user"],
-        "max_bytes": deploy_kwargs["max_bytes"],
-        "max_entries_total": deploy_kwargs["max_entries_total"],
-        "adaptive_budget": deploy_kwargs["adaptive_budget"],
-        # the shards' rows carry the effective threshold (None keeps
-        # the config default)
-        "admission_threshold": rows[0]["admission_threshold"],
-        "strategy": deploy_kwargs["strategy"],
-        "learn_mode": deploy_kwargs["learn_mode"],
-        "learn_queue_overflows": total("learn_queue_overflows"),
-        "learn_deferred_drained": total("learn_deferred_drained"),
-        "prefetch_wasted": total("prefetch_wasted"),
-        "skipped_admission": total("skipped_admission"),
-        "prefetch_by_signature": by_signature,
-        "expiration": expiration,
-        "history": history,
-        "stage_latency_us": stage_latency_from_registry(merged),
-        "miss_causes": miss_causes_from_counters(merged.counters),
-        "trace": trace_stats,
-        "live": live_agg,
-        "slo": slo_agg,
-        "backpressure": bp_agg,
-        "heartbeats": heartbeats.summary() if heartbeats is not None else None,
-        "fleet": {
-            "replicas": replicas,
+    aggregate.update(
+        workers=workers,
+        prefetch_by_signature=by_signature,
+        expiration=expiration,
+        history=history,
+        stage_latency_us=stage_latency_from_registry(merged),
+        miss_causes=miss_causes_from_counters(merged.counters),
+        trace=trace_stats,
+        live=live_agg,
+        slo=slo_agg,
+        backpressure=bp_agg,
+        heartbeats=heartbeats.summary() if heartbeats is not None else None,
+        fleet={
+            "replicas": DEFAULT_REPLICAS,
             "hash": "blake2b-64",
             "worker_timeout_s": worker_timeout,
             "schedule_events": schedule_events,
@@ -1024,7 +843,7 @@ def _aggregate(
             "shard_wall_s": [float(row["wall_s"]) for row in rows],
             "supervisor_wall_s": wall_s,
         },
-        "shards": [
+        shards=[
             {
                 "shard": shard,
                 "users": len(members[shard]),
@@ -1036,7 +855,7 @@ def _aggregate(
             }
             for shard in range(workers)
         ],
-    }
+    )
     return aggregate
 
 

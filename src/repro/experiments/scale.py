@@ -45,6 +45,8 @@ baseline the paper's claim is measured against).
 
 from __future__ import annotations
 
+import functools
+import os
 import time
 from typing import Callable, Dict, Generator, List, Optional, Sequence, Tuple
 
@@ -71,7 +73,6 @@ from repro.proxy.cache import PrefetchCache
 from repro.proxy.config import DEFAULT_ADMISSION_THRESHOLD
 from repro.proxy.expiration import ExpirationEstimator
 from repro.proxy.history import HistoryPrefetcher
-from repro.proxy.learning import LEARN_MODES
 from repro.proxy.multiapp import MultiAppProxy, MultiAppTransport
 from repro.proxy.proxy import AccelerationProxy
 from repro.server.content import Catalog
@@ -81,6 +82,32 @@ DEFAULT_RATE_PER_USER = 0.5  # requests / user / virtual second
 PURGE_INTERVAL = 5.0  # virtual seconds between expiry sweeps
 SAMPLE_INTERVAL = 1.0  # virtual seconds between cache-size samples
 STRATEGIES = ("appx", "history", "none")
+ACCESS_RTT = 0.055  # virtual seconds, each user's access link
+TRACE_CAPACITY = 65_536  # records in the trace ring
+
+#: row keys that are plain per-process totals: the fleet folds shard
+#: rows by summing exactly these.  Per-shard cache peaks are not
+#: simultaneous, so their sum bounds the fleet-wide peak from above,
+#: matching how the entry budget is apportioned.
+SUMMED_KEYS = (
+    "requests",
+    "requests_sent",
+    "sim_events",
+    "served_prefetched",
+    "forwarded",
+    "prefetch_issued",
+    "peak_cache_entries",
+    "final_cache_entries",
+    "cache_stored",
+    "cache_expired_evictions",
+    "cache_lru_evictions",
+    "cache_wheel_purged",
+    "peak_rss_bytes",
+    "learn_queue_overflows",
+    "learn_deferred_drained",
+    "prefetch_wasted",
+    "skipped_admission",
+)
 
 
 def record_session_transactions(
@@ -213,7 +240,6 @@ class _ScaleDeployment:
         apps: Sequence[str],
         catalog_seed: int = 7,
         max_entries_per_user: Optional[int] = None,
-        max_bytes: Optional[int] = None,
         max_entries_total: Optional[int] = None,
         adaptive_budget: bool = False,
         admission_threshold: Optional[float] = None,
@@ -225,12 +251,6 @@ class _ScaleDeployment:
         if strategy not in STRATEGIES:
             raise ValueError(
                 "strategy must be one of {}, got {!r}".format(STRATEGIES, strategy)
-            )
-        if learn_mode not in LEARN_MODES:
-            raise ValueError(
-                "learn_mode must be one of {}, got {!r}".format(
-                    LEARN_MODES, learn_mode
-                )
             )
         self.sim = Simulator()
         self.origins = OriginMap()
@@ -255,7 +275,6 @@ class _ScaleDeployment:
             analysis = analyze_apk(spec.build_apk(), AnalysisOptions(run_slicing=False))
             cache = PrefetchCache(
                 max_entries_per_user=max_entries_per_user,
-                max_bytes=max_bytes,
                 max_entries_total=max_entries_total,
                 adaptive=adaptive_budget,
             )
@@ -437,6 +456,20 @@ def stage_latency_from_registry(registry) -> Dict[str, Dict[str, float]]:
     return stage_latency
 
 
+def append_summary_record(by_signature: Dict[str, Dict[str, int]], **tags) -> None:
+    """File the run's per-signature prefetch table in the trace ring as
+    its ``summary`` record, so offline audits see it in the export."""
+    TRACER.append_record(
+        {
+            "trace_id": "summary",
+            "user": "-",
+            "kind": "summary",
+            "spans": [],
+            "tags": dict(prefetch_by_signature=by_signature, **tags),
+        }
+    )
+
+
 def miss_causes_from_counters(counters: Dict[str, int]) -> Dict[str, int]:
     """The ``cache.miss.<cause>`` counters, keyed by bare cause."""
     return {
@@ -453,12 +486,9 @@ def run_scale(
     rate_per_user: float = DEFAULT_RATE_PER_USER,
     seed: int = 0,
     max_entries_per_user: Optional[int] = None,
-    max_bytes: Optional[int] = None,
-    access_rtt: float = 0.055,
     trace_path: Optional[str] = None,
     trace_sample: Optional[float] = None,
     trace_seed: int = 0,
-    trace_capacity: int = 65_536,
     strategy: str = "appx",
     max_entries_total: Optional[int] = None,
     adaptive_budget: bool = False,
@@ -493,7 +523,7 @@ def run_scale(
     Request-lifecycle tracing is armed when ``trace_path`` or
     ``trace_sample`` is given: the global tracer samples
     ``trace_sample`` of requests (default 1.0) into a ring of
-    ``trace_capacity`` records, feeds per-stage span histograms into
+    ``TRACE_CAPACITY`` records, feeds per-stage span histograms into
     the PERF registry, and — when ``trace_path`` is set — exports the
     buffered records as JSONL after the run.  Left off (the default),
     the serving core pays only the one-branch disabled check.
@@ -527,23 +557,17 @@ def run_scale(
     tracing = trace_path is not None or trace_sample is not None
     apps = tuple(apps)
     deployment = _deployment
-    if deployment is not None and deployment.strategy != strategy:
-        raise ValueError(
-            "reused deployment was built for strategy {!r}, not {!r}".format(
-                deployment.strategy, strategy
+    for name, value in (("strategy", strategy), ("learn_mode", learn_mode)):
+        if deployment is not None and getattr(deployment, name) != value:
+            raise ValueError(
+                "reused deployment was built for {} {!r}, not {!r}".format(
+                    name, getattr(deployment, name), value
+                )
             )
-        )
-    if deployment is not None and deployment.learn_mode != learn_mode:
-        raise ValueError(
-            "reused deployment was built for learn_mode {!r}, not {!r}".format(
-                deployment.learn_mode, learn_mode
-            )
-        )
     if deployment is None:
         deployment = _ScaleDeployment(
             apps,
             max_entries_per_user=max_entries_per_user,
-            max_bytes=max_bytes,
             max_entries_total=max_entries_total,
             adaptive_budget=adaptive_budget,
             admission_threshold=admission_threshold,
@@ -623,7 +647,7 @@ def run_scale(
         if transport is None:
             transport = MultiAppTransport(
                 sim,
-                Link(rtt=access_rtt, shared=True, name="access-u{}".format(user_index)),
+                Link(rtt=ACCESS_RTT, shared=True, name="access-u{}".format(user_index)),
                 multi,
             )
             transports[user_index] = transport
@@ -729,7 +753,7 @@ def run_scale(
     if tracing:
         TRACER.configure(
             sample_rate=1.0 if trace_sample is None else trace_sample,
-            capacity=trace_capacity,
+            capacity=TRACE_CAPACITY,
             seed=trace_seed,
             registry=PERF.registry,
             sim_clock=lambda: sim.now,
@@ -744,14 +768,6 @@ def run_scale(
     finally:
         if tracing:
             TRACER.disable()
-
-    trace_stats: Optional[Dict[str, object]] = None
-    if tracing:
-        trace_stats = TRACER.stats()
-        if trace_path is not None:
-            trace_stats["path"] = trace_path
-        # exported below, after the per-signature summary record is
-        # appended to the ring (so offline audits see it in the file)
 
     # per-stage latency histograms out of the registry: stage() timers
     # feed stage_seconds{stage=...}; sampled trace spans feed
@@ -773,8 +789,6 @@ def run_scale(
         h.issued for h in deployment.history.values()
     )
     caches = [proxy.cache for _, proxy in multi._apps]
-    requests = state["completed"]
-    answered = served + forwarded
 
     # per-signature prefetch efficacy, merged across apps — the audit
     # table behind admission decisions and the §5 queue order.  Every
@@ -784,19 +798,10 @@ def run_scale(
     # never stored because the origin failed it); ``hits`` counts
     # every hit, so an entry hit twice counts twice there
     by_signature: Dict[str, Dict[str, int]] = {}
+    fields = ("issued", "hits", "served", "wasted", "unresolved", "queue_wait_ms")
 
     def _signature_cell(site: str) -> Dict[str, int]:
-        cell = by_signature.get(site)
-        if cell is None:
-            cell = by_signature[site] = {
-                "issued": 0,
-                "hits": 0,
-                "served": 0,
-                "wasted": 0,
-                "unresolved": 0,
-                "queue_wait_ms": 0,
-            }
-        return cell
+        return by_signature.setdefault(site, dict.fromkeys(fields, 0))
 
     for _, proxy in multi._apps:
         for site, count in proxy.prefetcher.issued_by_site.items():
@@ -815,17 +820,14 @@ def run_scale(
     for cell in by_signature.values():
         cell["unresolved"] = cell["issued"] - cell["served"] - cell["wasted"]
 
+    trace_stats: Optional[Dict[str, object]] = None
     if tracing:
-        TRACER.append_record(
-            {
-                "trace_id": "summary",
-                "user": "-",
-                "kind": "summary",
-                "spans": [],
-                "tags": {"prefetch_by_signature": by_signature},
-            }
-        )
-        if trace_path is not None and trace_stats is not None:
+        # stats first: ``buffered`` counts the run's records, not the
+        # summary record appended for the export
+        trace_stats = TRACER.stats()
+        append_summary_record(by_signature)
+        if trace_path is not None:
+            trace_stats["path"] = trace_path
             trace_stats["exported"] = TRACER.export_jsonl(trace_path)
 
     row: Dict[str, object] = {
@@ -834,17 +836,11 @@ def run_scale(
         "duration_s": duration,
         "rate_per_user": rate_per_user,
         "seed": seed,
-        "requests": requests,
+        "cores": os.cpu_count(),
+        "requests": state["completed"],
         "requests_sent": state["sent"],
         "wall_s": wall_s,
-        "per_request_wall_us": (1e6 * wall_s / requests) if requests else 0.0,
-        "requests_per_wall_s": (requests / wall_s) if wall_s else 0.0,
         "sim_events": sim_events,
-        "sim_events_per_wall_s": (sim_events / wall_s) if wall_s else 0.0,
-        "latency_p50_ms": 1000 * percentile(latencies, 50) if latencies else 0.0,
-        "latency_p95_ms": 1000 * percentile(latencies, 95) if latencies else 0.0,
-        "latency_p99_ms": 1000 * percentile(latencies, 99) if latencies else 0.0,
-        "hit_rate": (served / answered) if answered else 0.0,
         "served_prefetched": served,
         "forwarded": forwarded,
         "prefetch_issued": issued,
@@ -856,7 +852,6 @@ def run_scale(
         "cache_wheel_purged": sum(c.wheel_purged for c in caches),
         "peak_rss_bytes": rss_peak_bytes(),
         "max_entries_per_user": max_entries_per_user,
-        "max_bytes": max_bytes,
         "max_entries_total": max_entries_total,
         "adaptive_budget": adaptive_budget,
         "admission_threshold": (
@@ -911,8 +906,26 @@ def run_scale(
         ),
         "backpressure": controller.stats() if controller is not None else None,
     }
+    finish_row(row, latencies)
     if collect_latencies:
         row["latencies_s"] = latencies
+    return row
+
+
+def finish_row(row: Dict[str, object], latencies: Sequence[float]) -> Dict[str, object]:
+    """Fill the keys a row derives from its totals: wall-clock rates,
+    latency percentiles over ``latencies`` (virtual seconds) and the hit
+    rate.  The serial row and the fleet's folded row both end here."""
+    requests, wall_s = row["requests"], row["wall_s"]
+    row["per_request_wall_us"] = (1e6 * wall_s / requests) if requests else 0.0
+    row["requests_per_wall_s"] = (requests / wall_s) if wall_s else 0.0
+    row["sim_events_per_wall_s"] = (row["sim_events"] / wall_s) if wall_s else 0.0
+    for rank in (50, 95, 99):
+        row["latency_p{}_ms".format(rank)] = (
+            1000 * percentile(latencies, rank) if latencies else 0.0
+        )
+    answered = row["served_prefetched"] + row["forwarded"]
+    row["hit_rate"] = (row["served_prefetched"] / answered) if answered else 0.0
     return row
 
 
@@ -1023,6 +1036,7 @@ def run_scale_sweep(
     user_counts: Sequence[int],
     duration_for: Optional[Dict[int, float]] = None,
     default_duration: float = 10.0,
+    workers: int = 1,
     **kwargs,
 ) -> Dict[str, object]:
     """One row per population size, plus the scaling verdict.
@@ -1035,10 +1049,15 @@ def run_scale_sweep(
     cost — the number that must stay flat when the serving core is
     population-independent.  When tracing to a file across several
     cells, each cell writes ``<stem>-<users><ext>`` so no cell
-    overwrites another's export.
+    overwrites another's export.  ``workers > 1`` serves every cell
+    through :func:`~repro.experiments.fleet.run_fleet`, and ``kwargs``
+    may then carry its fleet options too.
     """
-    import os
+    run = run_scale
+    if workers > 1:
+        from repro.experiments.fleet import run_fleet
 
+        run = functools.partial(run_fleet, workers=workers)
     trace_path = kwargs.pop("trace_path", None)
     rows = []
     for count in user_counts:
@@ -1047,7 +1066,7 @@ def run_scale_sweep(
         if trace_path is not None and len(user_counts) > 1:
             stem, ext = os.path.splitext(trace_path)
             cell_path = "{}-{}{}".format(stem, count, ext or ".jsonl")
-        rows.append(run_scale(count, duration, trace_path=cell_path, **kwargs))
+        rows.append(run(count, duration, trace_path=cell_path, **kwargs))
     smallest, largest = rows[0], rows[-1]
     ratio = (
         largest["per_request_wall_us"] / smallest["per_request_wall_us"]

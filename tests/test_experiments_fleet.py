@@ -8,6 +8,9 @@ same counters, same fold-back), and the supervisor's failure surface
 naming the lost shard instead of deadlocking).
 """
 
+import multiprocessing
+import os
+
 import pytest
 
 from repro.experiments.fleet import (
@@ -49,6 +52,17 @@ DETERMINISTIC_KEYS = (
     "expiration",
     "history",
 )
+
+#: the serial row's host-cost keys: they measure the machine, so the
+#: differential oracle compares every other key of the row
+WALL_CLOCK_KEYS = {
+    "wall_s",
+    "per_request_wall_us",
+    "requests_per_wall_s",
+    "sim_events_per_wall_s",
+    "peak_rss_bytes",
+    "stage_latency_us",
+}
 
 
 # ----------------------------------------------------------------------
@@ -150,11 +164,25 @@ def test_fleet_one_worker_matches_serial():
     kwargs = dict(users=24, duration=6.0, seed=11, max_entries_per_user=16)
     serial = run_scale(**kwargs)
     fleet = run_fleet(workers=1, **kwargs)
-    for key in DETERMINISTIC_KEYS:
+    # every key the serial row has, so a key the fold forgets fails here
+    for key in set(serial) - WALL_CLOCK_KEYS:
         assert fleet[key] == serial[key], key
     assert fleet["workers"] == 1
     assert fleet["fleet"]["shard_users"] == [24]
     assert len(fleet["shards"]) == 1
+
+
+def test_fleet_one_worker_folds_the_whole_live_plane():
+    kwargs = dict(
+        users=24, duration=4.0, seed=11, max_entries_per_user=16, telemetry=True
+    )
+    serial = run_scale(**kwargs)
+    fleet = run_fleet(workers=1, **kwargs)
+    # the backpressure fold keeps every key the serial row reports,
+    # the per-proxy admission thresholds included
+    assert fleet["backpressure"] == serial["backpressure"]
+    for key in ("ticks", "heartbeats_sent", "alerts"):
+        assert fleet["live"][key] == serial["live"][key], key
 
 
 def test_signature_cells_fold_back_by_addition():
@@ -200,6 +228,22 @@ def test_fleet_validates_arguments():
         run_fleet(10, 1.0, workers=0)
     with pytest.raises(ValueError):
         run_fleet(2, 1.0, workers=4)
+
+
+def test_fleet_rejects_unknown_run_argument_before_forking():
+    # run_fleet forwards run_scale's arguments: a misspelled one must
+    # fail in the supervisor, not inside every worker
+    with pytest.raises(TypeError):
+        run_fleet(12, 1.0, workers=2, bogus=1)
+    assert multiprocessing.active_children() == []
+
+
+def test_rows_record_the_host_core_count():
+    kwargs = dict(users=6, duration=2.0, seed=3)
+    assert run_scale(**kwargs)["cores"] == os.cpu_count()
+    assert run_fleet(workers=2, worker_timeout=120.0, **kwargs)["cores"] == (
+        os.cpu_count()
+    )
 
 
 # ----------------------------------------------------------------------
